@@ -22,9 +22,9 @@ Two implementations live here:
     ``run_to_max``, and every step until the first node stops) it:
 
     - samples through :meth:`PushPlan.sample_full_active` — preallocated
-      flat target buffer, precomputed sender layout, repeated-argmin
-      selection — instead of building and concatenating per-group
-      temporaries;
+      flat target buffer, precomputed sender layout,
+      :func:`~repro.core.kernels.plan.select_k_smallest` selection —
+      instead of building and concatenating per-group temporaries;
     - prescales the whole state matrix once
       (``prescaled = state * 1/(k_i+1)``) and gathers shares with
       ``np.take(..., out=)``, replacing the gathered multiply *and* the
@@ -34,6 +34,9 @@ Two implementations live here:
     - scatter-adds all C columns with a single ``bincount`` over
       ``target * C + column`` keys (one pass over the share buffer
       instead of C strided passes).
+
+    Tail steps (once a node has stopped) sample through
+    :meth:`PushPlan.sample_subset` and, at float64, prescale too.
 
     Each fused pass computes the same IEEE operations on the same
     operand pairs as the unfused step, so per-column results are
@@ -202,6 +205,9 @@ class FusedNumpyKernel(_KernelBase):
         inv_swap = self._inv_cast.copy()
         inv_swap[plan.degrees == 0] = 1.0
         self._inv_swap = inv_swap
+        # Tail steps prescale only where one product rounds like the
+        # reference's float64 scale and state-dtype shares (see below).
+        self._exact_prescale = bool(np.array_equal(self._inv_cast, self._inv))
         self._prescaled = np.empty((self._num_nodes, num_cols), dtype=self._dtype)
         self._targets_buf = np.empty(plan.max_pushes, dtype=np.int64)
         if num_cols <= COMBINED_BINCOUNT_MAX_COLS * self._num_channels:
@@ -236,18 +242,24 @@ class FusedNumpyKernel(_KernelBase):
         return state, int(senders.size)
 
     def _step_subset(self, state, active, rng, loss_model, heard_out):
-        # Stop-protocol tail steps: a strict subset of nodes pushes, so
-        # the prescale/swap shortcut no longer applies. Fall back to the
-        # reference share + masked-scale passes (cost scales with the
-        # shrinking active set), keeping the combined scatter.
+        # Stop-protocol tail steps: a strict subset of nodes pushes.
         senders, targets = self._plan.sample_subset(rng, active)
         effective_targets = self._effective_targets(senders, targets, loss_model)
         shares = self._shares_buf[: senders.size]
-        np.multiply(state[senders], self._inv_cast[senders, None], out=shares)
         scale = self._scale
         scale.fill(1.0)
-        scale[active] = self._inv[active]
-        state *= scale[:, None]
+        np.copyto(scale, self._inv, where=active)
+        if self._exact_prescale:  # prescale and swap, as on full steps
+            prescaled = self._prescaled
+            np.multiply(state, scale[:, None], out=prescaled)
+            np.take(prescaled, senders, axis=0, out=shares)
+            self._prescaled = state
+            state = prescaled
+        else:
+            # float32 factors differ from float64 ones unless every
+            # 1/(k_i + 1) is a power of two: keep both reference passes.
+            np.multiply(state[senders], self._inv_cast[senders, None], out=shares)
+            state *= scale[:, None]
         scatter_add_shares(state, effective_targets, shares, self._key_buf)
         self._record_heard(
             senders, effective_targets, lossless=loss_model is None, heard_out=heard_out

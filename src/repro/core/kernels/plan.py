@@ -9,11 +9,6 @@ the same plan, which is what makes their target draws byte-identical at
 a fixed seed (they consume the *same* generator stream in the *same*
 order).
 
-The plan is also CSR-relative rather than graph-relative: the sparse
-engine builds one over the global CSR arrays, and each shard of the
-sharded engine builds one over its local owned-first/halo-after CSR
-view, so both engines share one sampling implementation.
-
 The plan is channel-oblivious by design: multi-channel gossip packs V
 reputation channels into extra state *columns*, and a node pushes its
 whole row to the same sampled targets regardless of width. One plan —
@@ -25,39 +20,43 @@ pay for).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
+
+#: Key matrices with at most this many cells per pick take one stable
+#: row sort instead of ``k`` argmin passes, each of which pays a fixed
+#: per-call cost (measured flat between 50 and 300 at N=200k, m=4).
+SORT_CELLS_PER_PICK = 150
+
 
 def select_k_smallest(keys: np.ndarray, k: int) -> np.ndarray:
     """Column indices of the ``k`` smallest keys per row, ascending.
 
     Canonical k-subset selection shared by every kernel: ``keys`` is a
     ``(rows, width)`` scratch matrix of iid-uniform draws (``inf`` at
-    padding slots) and the return value is ``(rows, k)`` column indices
-    ordered by increasing key. **Mutates** ``keys`` (selected entries
-    are overwritten with ``inf``) — callers pass scratch buffers.
+    padding slots, at least ``k`` finite keys per row) and the return
+    value is ``(rows, k)`` column indices ordered by increasing key.
+    **May mutate** ``keys`` — callers pass scratch buffers.
 
     The k smallest of a row's iid-uniform keys are a uniform random
     k-subset of its valid slots, so this draws the same subsets as the
     historical ``argpartition`` selection (only the within-row order
-    differs: ascending key here, unspecified there). Repeated row-wise
-    ``argmin`` is ~2.5x faster than ``argpartition`` on the padded
-    buffers for the small k that dominate real degree sequences, and
-    its first-occurrence tie rule is reproduced exactly by the numba
-    kernel, keeping selection byte-identical across implementations.
+    differs: ascending key here, unspecified there). Low-``k`` rows take
+    repeated row-wise ``argmin`` passes; hub rows take one stable
+    ``argsort``, whose tie-break by column is ``argmin``'s
+    first-occurrence rule. The numba kernel reproduces that rule, keeping
+    selection byte-identical across implementations.
     """
-    rows = keys.shape[0]
+    rows, width = keys.shape
+    if rows * width <= SORT_CELLS_PER_PICK * k:
+        return np.argsort(keys, axis=1, kind="stable")[:, :k]
     cols = np.empty((rows, k), dtype=np.int64)
-    if k == 1:
-        np.argmin(keys, axis=1, out=cols[:, 0])
-        return cols
     row_index = np.arange(rows)
     for j in range(k):
-        chosen = np.argmin(keys, axis=1)
-        cols[:, j] = chosen
+        np.argmin(keys, axis=1, out=cols[:, j])
         if j < k - 1:
-            keys[row_index, chosen] = np.inf
+            keys[row_index, cols[:, j]] = np.inf
     return cols
 
 
@@ -72,7 +71,7 @@ class PaddedGroup:
     member's degree and total padded storage is O(E).
     """
 
-    __slots__ = ("k", "nodes", "padded_neighbors", "invalid", "keys", "row_index")
+    __slots__ = ("k", "nodes", "padded_neighbors", "invalid", "keys")
 
     def __init__(
         self,
@@ -95,7 +94,6 @@ class PaddedGroup:
         self.padded_neighbors = indices[slots]
         self.invalid = ~valid
         self.keys = np.empty((nodes.size, width), dtype=np.float64)
-        self.row_index = np.arange(nodes.size)
 
 
 class PushPlan:
@@ -165,8 +163,8 @@ class PushPlan:
 
         Consumes the generator stream identically to
         :meth:`sample_subset` with an all-eligible mask, but writes into
-        a preallocated flat buffer (no per-group temporaries or final
-        concatenation) and skips the active-subset gathers.
+        a preallocated flat buffer (no final concatenation) and skips
+        the active-subset gathers.
 
         Returns ``(senders, targets)`` — views over the precomputed
         sender layout and ``targets_out``.
@@ -184,18 +182,9 @@ class PushPlan:
             np.copyto(keys, np.inf, where=group.invalid)
             k = group.k
             rows = group.nodes.size
+            cols = select_k_smallest(keys, k)
             segment = targets_out[pos : pos + rows * k].reshape(rows, k)
-            # Inlined select_k_smallest: gather each argmin pass's
-            # neighbours straight into the flat target buffer instead of
-            # materialising a column matrix and re-gathering. Same draws,
-            # same ascending-key order, no temporaries.
-            row_index = group.row_index
-            padded = group.padded_neighbors
-            for j in range(k):
-                chosen = np.argmin(keys, axis=1)
-                segment[:, j] = padded[row_index, chosen]
-                if j < k - 1:
-                    keys[row_index, chosen] = np.inf
+            segment[...] = np.take_along_axis(group.padded_neighbors, cols, axis=1)
             pos += rows * k
         return self.senders_full, targets_out[:pos]
 
@@ -212,11 +201,13 @@ class PushPlan:
         """
         sender_chunks: List[np.ndarray] = []
         target_chunks: List[np.ndarray] = []
-        k1 = self.k1_nodes[active[self.k1_nodes]]
-        if k1.size:
-            offsets = rng.integers(self.degrees[k1])
-            target_chunks.append(self.indices[self.indptr[k1] + offsets])
-            sender_chunks.append(k1)
+        # One index list into the precomputed k=1 arrays: cheaper than
+        # gathering degrees/indptr at node ids or three mask compressions.
+        k1_rows = np.flatnonzero(active[self.k1_nodes])
+        if k1_rows.size:
+            offsets = rng.integers(self.k1_degrees[k1_rows])
+            target_chunks.append(self.indices[self.k1_starts[k1_rows] + offsets])
+            sender_chunks.append(self.k1_nodes[k1_rows])
         for group in self.groups:
             rows = np.flatnonzero(active[group.nodes])
             if not rows.size:
@@ -232,25 +223,3 @@ class PushPlan:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
         return np.concatenate(sender_chunks), np.concatenate(target_chunks)
-
-    def sample(
-        self,
-        rng: np.random.Generator,
-        active: np.ndarray,
-        *,
-        all_active: Optional[bool] = None,
-        targets_out: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Random push targets for the active rows.
-
-        ``senders[p]`` pushes one share to ``targets[p]``; each active
-        sender appears ``k_i`` times with *distinct* targets, uniformly
-        over the ``k_i``-subsets of its neighbourhood. ``all_active``
-        (when the caller already knows the active count) and
-        ``targets_out`` enable the no-temporaries fast path.
-        """
-        if all_active is None:
-            all_active = int(active.sum()) == self.eligible_count
-        if all_active and targets_out is not None:
-            return self.sample_full_active(rng, targets_out)
-        return self.sample_subset(rng, active)

@@ -10,7 +10,8 @@ with one handler class. Endpoints (all JSON):
 ``GET /top?k=10``            current top-k leaderboard
 ``POST /reports``            submit reports; body is either one
                              ``{"o":,"t":,"v":}`` object or a JSON array
-                             of them; 429 when the queue sheds the batch
+                             of them; 400 on an invalid report (e.g.
+                             ``o == t``), 429 when the queue sheds
 ===========================  ============================================
 
 Responses carry the snapshot ``version`` and ``staleness`` a reader
@@ -121,6 +122,9 @@ class _Handler(BaseHTTPRequestHandler):
             accepted = self.service.submit_batch(reports)
         except UnknownPeerError as error:
             self._send(404, {"error": str(error)})
+            return
+        except ValueError as error:  # e.g. a self-report (o == t)
+            self._send(400, {"error": str(error)})
             return
         except BackpressureError as error:
             self._send(429, {

@@ -7,6 +7,7 @@ deterministic replay regardless of batch size.
 """
 
 import dataclasses
+import http.client
 import json
 import threading
 import time
@@ -270,3 +271,38 @@ def test_http_backpressure_returns_429():
         assert body["accepted"] == 4 and body["submitted"] == 6
     finally:
         server.shutdown()
+
+
+def _one_connection(service):
+    """A served ``service`` plus one keep-alive client connection."""
+    server = make_server(service)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    return server, http.client.HTTPConnection(host, port, timeout=10)
+
+
+def _request(conn, method, path, payload=None):
+    body = None if payload is None else json.dumps(payload)
+    headers = {} if payload is None else {"Content-Type": "application/json"}
+    conn.request(method, path, body=body, headers=headers)
+    response = conn.getresponse()
+    return response.status, json.loads(response.read())
+
+
+def test_http_self_report_gets_400_and_keeps_the_connection():
+    service = ReputationService(40, seed=5)
+    server, conn = _one_connection(service)
+    try:
+        status, body = _request(conn, "POST", "/reports", {"o": 2, "t": 2, "v": 0.5})
+        assert status == 400 and "self-report" in body["error"]
+        assert service.queue.pending == 0
+        sock = conn.sock  # http.client would silently reconnect if closed
+        assert sock is not None
+        status, health = _request(conn, "GET", "/healthz")
+        assert status == 200 and health["status"] == "ok"
+        assert conn.sock is sock
+    finally:
+        conn.close()
+        server.shutdown()
+        server.server_close()
