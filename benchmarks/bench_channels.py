@@ -7,7 +7,7 @@ cost. This benchmark measures that amortization directly — a single
 ``num_channels = V`` run against V back-to-back ``V = 1`` runs over the
 same graph, seed and fixed step budget.
 
-Methodology matches ``bench_sharded.py``: container wall-clock is
+Methodology matches ``bench_kernels.py``: container wall-clock is
 non-stationary, so every contender runs SHORT and LONG fixed budgets
 back-to-back, contenders interleave round-robin within each repetition,
 per-step cost is the *marginal* ``(long - short) / (steps delta)`` of
@@ -37,7 +37,6 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from repro.core.kernels import available_kernels
-from repro.core.sharded_engine import ShardedGossipEngine
 from repro.core.sparse_engine import SparseGossipEngine
 from repro.core.vector_engine import VectorGossipEngine
 from repro.network.preferential_attachment import preferential_attachment_graph_fast
@@ -53,8 +52,6 @@ def _make_engine(engine: str, graph, seed: int):
         return SparseGossipEngine(graph, rng=seed)
     if engine == "dense":
         return VectorGossipEngine(graph, rng=seed)
-    if engine == "sharded":
-        return ShardedGossipEngine(graph, rng=seed, executor="inline")
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -254,7 +251,7 @@ def main(argv=None) -> int:
         "--engines",
         nargs="+",
         default=["sparse"],
-        choices=["sparse", "dense", "sharded"],
+        choices=["sparse", "dense"],
     )
     parser.add_argument("--seed", type=int, default=2016)
     parser.add_argument("--out", default="BENCH_channels.json")

@@ -30,7 +30,6 @@ from repro.core import (
     GossipConfig,
     GossipOutcome,
     MessageLevelGossip,
-    ShardedGossipEngine,
     SparseGossipEngine,
     VectorGossipEngine,
     WeightParams,
@@ -111,7 +110,6 @@ __all__ = [
     "aggregate_vector_gclr",
     "VectorGossipEngine",
     "SparseGossipEngine",
-    "ShardedGossipEngine",
     "MessageLevelGossip",
     "GossipOutcome",
     "ConvergenceError",

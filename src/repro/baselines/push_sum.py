@@ -23,7 +23,7 @@ from repro.core.backend import GossipConfig, run_backend
 from repro.core.differential import fixed_push_counts
 from repro.core.results import GossipOutcome
 from repro.core.vector_engine import VectorGossipEngine
-from repro.network.churn import PacketLossModel
+from repro.network.conditions import PacketLossModel
 from repro.network.graph import Graph
 from repro.utils.rng import RngLike, as_generator
 
@@ -80,8 +80,8 @@ def push_sum_average(
     backend:
         Registered gossip backend name; the default ``"auto"`` follows
         :func:`repro.core.backend.choose_backend_name`, so large
-        Figure-3 baselines land on the sparse/sharded engines instead
-        of silently running every 100k+-node round through the dense
+        Figure-3 baselines land on the sparse engine instead of
+        silently running every 100k+-node round through the dense
         engine. Pass an explicit name to pin one.
 
     Examples

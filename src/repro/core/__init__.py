@@ -17,9 +17,7 @@ Engines (reusable for custom initialisations and baselines):
 - :class:`repro.core.vector_engine.VectorGossipEngine` — numpy, scales
   to the paper's 50 000-node sweeps;
 - :class:`repro.core.sparse_engine.SparseGossipEngine` — CSR-vectorised
-  with preallocated buffers, for very large (100k–250k node) rounds;
-- :class:`repro.core.sharded_engine.ShardedGossipEngine` — multi-process
-  sharded execution over shared memory, for million-peer rounds;
+  with preallocated buffers, for very large (100k-node and up) rounds;
 - :class:`repro.core.engine.MessageLevelGossip` — protocol-faithful
   object simulation with mailboxes and announcements.
 """
@@ -49,7 +47,6 @@ from repro.core.single_global import (
     aggregate_single_global,
     true_single_global,
 )
-from repro.core.sharded_engine import ShardedGossipEngine
 from repro.core.sparse_engine import SparseGossipEngine
 from repro.core.state import UNDEFINED_RATIO, GossipPair, ratios
 from repro.core.vector_engine import VectorGossipEngine
@@ -80,7 +77,6 @@ __all__ = [
     "VectorGclrResult",
     "VectorGossipEngine",
     "SparseGossipEngine",
-    "ShardedGossipEngine",
     "MessageLevelGossip",
     "GossipOutcome",
     "GossipPair",

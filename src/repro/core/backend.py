@@ -16,10 +16,10 @@ one protocol:
   :class:`repro.core.results.GossipOutcome`;
 - :func:`register_backend` / :func:`get_backend` /
   :func:`available_backends` manage the registry ("message", "dense",
-  "sparse", "sharded", "async" ship built-in; "vector" is an alias of
-  "dense");
+  "sparse", "async" ship built-in; "vector" is an alias of "dense");
 - :func:`choose_backend_name` implements the ``"auto"`` policy —
-  message → dense → sparse → sharded by node count and edge count;
+  async → message → dense → sparse by link model, node count and edge
+  count;
 - :func:`run_backend` is the engine-level entry the
   :func:`repro.aggregate` facade, the variant entry points and the
   dynamic-network runtime (:mod:`repro.runtime`, which chains
@@ -39,13 +39,11 @@ from typing import Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
 import numpy as np
 
 from repro.core.differential import fixed_push_counts
-from repro.core.errors import GossipError, UnsupportedDtypeError
+from repro.core.errors import GossipError
 from repro.core.results import GossipOutcome
-from repro.core.state import resolve_state_dtype
 from repro.core.weights import WeightParams
 from repro.network.conditions import InstantLink, LinkModel, PacketLossModel
 from repro.network.graph import Graph
-from repro.utils.hardware import usable_cpu_count
 from repro.utils.rng import RngLike, spawn_child, stateless_child_sequence
 
 #: Spawn key of the loss-model stream derived by GossipConfig.materialize.
@@ -107,10 +105,10 @@ class GossipConfig:
     loss_probability:
         Per-push packet-loss probability; when > 0 and no explicit
         ``loss_model`` is given, a mass-conserving
-        :class:`repro.network.churn.PacketLossModel` is derived from
+        :class:`repro.network.conditions.PacketLossModel` is derived from
         ``rng``.
     loss_model:
-        Explicit churn model (takes precedence over
+        Explicit packet-loss model (takes precedence over
         ``loss_probability``).
     network:
         Optional :class:`repro.network.conditions.LinkModel` — the
@@ -140,38 +138,13 @@ class GossipConfig:
     run_to_max:
         Ignore the stop protocol and run exactly ``max_steps`` steps
         (fixed-budget diffusion studies and benchmarks).
-    num_shards:
-        Sharded backend only: partition granularity. Outcomes of the
-        ``"sharded"`` backend depend on ``(rng, num_shards)``, so this
-        is a *determinism* knob; ``None`` selects the backend's fixed
-        default. Other backends ignore it.
-    shard_workers:
-        Sharded backend only: worker count or executor name — a pure
-        *throughput* knob (any value yields byte-identical outcomes).
-        An int sets the worker count under the default executor policy
-        (``1`` runs the shard schedule inline with no processes).
-        ``None`` selects by graph size. The strings ``"inline"``,
-        ``"threads"`` and ``"processes"`` select an executor outright:
-        ``"threads"`` runs shards on a thread pool over one in-process
-        state array (no shared-memory halo round-trips), ``"processes"``
-        forces the shared-memory worker pool, ``"inline"`` forces the
-        calling thread. Other backends ignore it.
-    dtype:
-        Gossip state precision: ``"float64"`` (default, the correctness
-        reference) or ``"float32"`` (halves state memory traffic at
-        ~1e-4-scale drift). Backends that cannot run the requested
-        precision raise
-        :class:`repro.core.errors.UnsupportedDtypeError` — state is
-        never silently cast (the message and async engines are
-        float64-only).
     kernel:
         Push-round kernel for the sparse engine: ``None``/"auto" (best
         available), ``"numba"`` (needs the optional ``kernels`` extra),
         ``"fused"`` (numpy), or ``"unfused"`` (historical reference
         path). Unavailable kernels raise
         :class:`repro.core.kernels.KernelUnavailableError`. Backends
-        without a kernel layer (including sharded, whose per-shard
-        samplers mirror the unfused path) ignore it.
+        without a kernel layer ignore it.
     num_channels:
         Number of independent reputation channels ``V`` packed
         channel-major into the gossiped value columns (the column count
@@ -179,7 +152,7 @@ class GossipConfig:
         draw and one scatter per step; convergence is judged per
         channel (see
         :class:`repro.core.convergence.ConvergenceProtocol`). The
-        dense, sparse and sharded backends support any ``V``; the
+        dense and sparse backends support any ``V``; the
         message and async backends are single-channel and raise
         :class:`BackendCapabilityError` for ``V > 1``. Default 1.
 
@@ -208,9 +181,6 @@ class GossipConfig:
     warmup_steps: Optional[int] = None
     track_history: bool = False
     run_to_max: bool = False
-    num_shards: Optional[int] = None
-    shard_workers: "Optional[int | str]" = None
-    dtype: str = "float64"
     kernel: Optional[str] = None
     num_channels: int = 1
 
@@ -242,20 +212,6 @@ class GossipConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.delta < 0:
             raise ValueError(f"delta must be >= 0, got {self.delta}")
-        if self.num_shards is not None and self.num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
-        if self.shard_workers is not None:
-            if isinstance(self.shard_workers, str):
-                if self.shard_workers not in ("inline", "threads", "processes"):
-                    raise ValueError(
-                        "shard_workers accepts an int or one of 'inline', 'threads', "
-                        f"'processes', got {self.shard_workers!r}"
-                    )
-            elif self.shard_workers < 1:
-                raise ValueError(f"shard_workers must be >= 1, got {self.shard_workers}")
-        # Fail on unsupported dtypes at config construction, not deep in
-        # an engine — and never silently cast.
-        resolve_state_dtype(self.dtype)
 
     def resolved_push_counts(self, graph: Graph) -> Optional[np.ndarray]:
         """Per-node push counts for ``graph``, or ``None`` for the
@@ -378,13 +334,10 @@ class _SynchronousBackend:
     def _engine_kwargs(self, config: GossipConfig) -> Dict[str, object]:
         """Extra constructor kwargs derived from ``config``.
 
-        The default forwards ``dtype`` (every vectorised engine takes
-        it). Engines pinned to float64 override this to raise
-        :class:`repro.core.errors.UnsupportedDtypeError` instead of
-        casting; engines with extra knobs (the sparse engine's
-        ``kernel``) extend it.
+        None by default; engines with extra knobs (the sparse engine's
+        ``kernel``) override it.
         """
-        return {"dtype": resolve_state_dtype(config.dtype)}
+        return {}
 
     def run(
         self,
@@ -424,7 +377,7 @@ class _SynchronousBackend:
             if not self.supports_channels:
                 raise BackendCapabilityError(
                     f"backend {self.name!r} gossips a single reputation channel; "
-                    "use 'dense', 'sparse' or 'sharded' for num_channels > 1"
+                    "use 'dense' or 'sparse' for num_channels > 1"
                 )
             kwargs["num_channels"] = config.num_channels
         return engine.run(values, weights, **kwargs)
@@ -436,16 +389,6 @@ class MessageBackend(_SynchronousBackend):
     name = "message"
     supports_run_to_max = False
     supports_channels = False
-
-    def _engine_kwargs(self, config: GossipConfig) -> Dict[str, object]:
-        # The message engine gossips Python-float pairs; there is no
-        # float32 state to run, and casting would be silent.
-        if resolve_state_dtype(config.dtype) != np.float64:
-            raise UnsupportedDtypeError(
-                "backend 'message' runs float64 gossip state only; "
-                "use 'dense', 'sparse' or 'sharded' for float32"
-            )
-        return {}
 
     @property
     def _engine_class(self):
@@ -472,83 +415,13 @@ class SparseBackend(_SynchronousBackend):
     name = "sparse"
 
     def _engine_kwargs(self, config: GossipConfig) -> Dict[str, object]:
-        kwargs = super()._engine_kwargs(config)
-        kwargs["kernel"] = config.kernel
-        return kwargs
+        return {"kernel": config.kernel}
 
     @property
     def _engine_class(self):
         from repro.core.sparse_engine import SparseGossipEngine
 
         return SparseGossipEngine
-
-
-class ShardedBackend:
-    """Multi-process sharded CSR engine for million-peer rounds.
-
-    Partitions the graph into edge-balanced node shards
-    (:mod:`repro.network.partition`) and executes each shard's push step
-    in a worker process over shared-memory buffers, exchanging
-    cross-shard pushes through per-shard halo buffers
-    (:class:`repro.core.sharded_engine.ShardedGossipEngine`). Outcomes
-    are byte-identical for any worker count; ``config.num_shards`` and
-    ``config.shard_workers`` tune determinism granularity and
-    parallelism respectively. Packet loss is supported via
-    ``config.loss_probability`` (per-shard seeded loss streams); an
-    explicit ``loss_model`` instance cannot be split across shards and
-    is rejected.
-    """
-
-    name = "sharded"
-    supports_run_to_max = True
-
-    def run(
-        self,
-        graph: Graph,
-        values: np.ndarray,
-        weights: np.ndarray,
-        *,
-        extras: Optional[Dict[str, np.ndarray]] = None,
-        config: Optional[GossipConfig] = None,
-    ) -> GossipOutcome:
-        from repro.core.sharded_engine import ShardedGossipEngine
-
-        config = config if config is not None else GossipConfig()
-        if config.loss_model is not None:
-            raise BackendCapabilityError(
-                "backend 'sharded' derives per-shard loss streams from the seed; "
-                "pass loss_probability instead of an explicit loss_model"
-            )
-        # The network axis resolves to the classic uniform Bernoulli here
-        # (byte-identical to the loss_probability path) or raises for
-        # event-driven-only models.
-        loss_probability = config.uniform_loss_probability()
-        workers = config.shard_workers
-        executor = None
-        if isinstance(workers, str):
-            workers, executor = None, workers
-        engine = ShardedGossipEngine(
-            graph,
-            push_counts=config.resolved_push_counts(graph),
-            loss_probability=loss_probability,
-            rng=config.rng,
-            num_shards=config.num_shards,
-            num_workers=workers,
-            executor=executor,
-            dtype=resolve_state_dtype(config.dtype),
-        )
-        kwargs = dict(
-            xi=config.xi,
-            extras=extras,
-            max_steps=config.max_steps,
-            track_history=config.track_history,
-            run_to_max=config.run_to_max,
-            patience=config.patience,
-            warmup_steps=config.warmup_steps,
-        )
-        if config.num_channels != 1:
-            kwargs["num_channels"] = config.num_channels
-        return engine.run(values, weights, **kwargs)
 
 
 class AsyncBackend:
@@ -590,14 +463,7 @@ class AsyncBackend:
         if config.num_channels != 1:
             raise BackendCapabilityError(
                 "backend 'async' gossips a single reputation channel; "
-                "use 'dense', 'sparse' or 'sharded' for num_channels > 1"
-            )
-        # Event-driven state lives in per-node float64 scalars; there is
-        # no float32 mode to run and casting would be silent.
-        if resolve_state_dtype(config.dtype) != np.float64:
-            raise UnsupportedDtypeError(
-                "backend 'async' runs float64 gossip state only; "
-                "use 'dense', 'sparse' or 'sharded' for float32"
+                "use 'dense' or 'sparse' for num_channels > 1"
             )
         if config.loss_model is not None:
             raise BackendCapabilityError(
@@ -724,7 +590,7 @@ def available_backends() -> Tuple[str, ...]:
 
     Examples
     --------
-    >>> {"message", "dense", "sparse", "sharded"} <= set(available_backends())
+    >>> {"message", "dense", "sparse", "async"} <= set(available_backends())
     True
     """
     return tuple(sorted(_REGISTRY))
@@ -734,7 +600,6 @@ register_backend("message", MessageBackend())
 register_backend("dense", DenseBackend(), aliases=("vector",))
 register_backend("sparse", SparseBackend(), aliases=("csr",))
 register_backend("async", AsyncBackend())
-register_backend("sharded", ShardedBackend())
 
 
 # -- auto selection ---------------------------------------------------------
@@ -746,22 +611,14 @@ AUTO_DENSE_MAX_NODES = 20_000
 #: ...unless the graph is edge-heavy enough that the dense engine's
 #: per-hub Python sampling loop dominates.
 AUTO_DENSE_MAX_EDGES = 200_000
-#: ``"auto"`` keeps the single-process sparse engine up to this size...
-AUTO_SPARSE_MAX_NODES = 250_000
-#: ...and this many undirected edges; beyond either, one core per step
-#: is the bottleneck and the multi-process sharded engine takes over.
-AUTO_SPARSE_MAX_EDGES = 2_000_000
 
 
 def choose_backend_name(graph: Graph, config: Optional[GossipConfig] = None) -> str:
-    """The ``"auto"`` policy: message → dense → sparse → sharded by size.
+    """The ``"auto"`` policy: async → message → dense → sparse.
 
     Tiny worlds get the protocol-faithful message engine (free fidelity
-    at that scale), experiment-scale graphs the dense numpy engine,
-    large or edge-heavy graphs the CSR sparse engine, and million-peer
-    graphs the multi-process sharded engine — provided the host has at
-    least two usable cores (:func:`repro.utils.hardware.usable_cpu_count`);
-    otherwise sharding is pure overhead and sparse stays the pick.
+    at that scale), experiment-scale graphs the dense numpy engine, and
+    large or edge-heavy graphs the CSR sparse engine, at any size.
     Configs that need ``run_to_max`` or multi-channel state skip the
     message engine (it supports neither fixed-budget runs nor
     ``num_channels > 1``). Configs whose ``network`` link model carries
@@ -778,21 +635,7 @@ def choose_backend_name(graph: Graph, config: Optional[GossipConfig] = None) -> 
         return "message"
     if n <= AUTO_DENSE_MAX_NODES and graph.num_edges <= AUTO_DENSE_MAX_EDGES:
         return "dense"
-    if n <= AUTO_SPARSE_MAX_NODES and graph.num_edges <= AUTO_SPARSE_MAX_EDGES:
-        return "sparse"
-    # The sharded engine derives per-shard loss streams from the seed
-    # and cannot split an explicit PacketLossModel's generator; "auto"
-    # must keep such configs on the single-process sparse engine rather
-    # than escalating into a capability error.
-    if config is not None and config.loss_model is not None:
-        return "sparse"
-    # The sharded engine only pays off when shards can actually run in
-    # parallel: on a host with a single usable core its worker
-    # orchestration is pure overhead (measured ~0.4x sparse), so "auto"
-    # stays on the sparse engine there.
-    if usable_cpu_count() < 2:
-        return "sparse"
-    return "sharded"
+    return "sparse"
 
 
 def run_backend(

@@ -60,22 +60,22 @@ def _numba_available() -> bool:
     return NUMBA_AVAILABLE
 
 
-def _make_numba(plan, inv_k_plus_one, num_cols, dtype, num_channels=1):
+def _make_numba(plan, inv_k_plus_one, num_cols, num_channels=1):
     from repro.core.kernels.numba_kernel import NumbaFusedKernel
 
-    return NumbaFusedKernel(plan, inv_k_plus_one, num_cols, dtype, num_channels=num_channels)
+    return NumbaFusedKernel(plan, inv_k_plus_one, num_cols, num_channels=num_channels)
 
 
-def _make_fused(plan, inv_k_plus_one, num_cols, dtype, num_channels=1):
+def _make_fused(plan, inv_k_plus_one, num_cols, num_channels=1):
     from repro.core.kernels.numpy_kernels import FusedNumpyKernel
 
-    return FusedNumpyKernel(plan, inv_k_plus_one, num_cols, dtype, num_channels=num_channels)
+    return FusedNumpyKernel(plan, inv_k_plus_one, num_cols, num_channels=num_channels)
 
 
-def _make_unfused(plan, inv_k_plus_one, num_cols, dtype, num_channels=1):
+def _make_unfused(plan, inv_k_plus_one, num_cols, num_channels=1):
     from repro.core.kernels.numpy_kernels import UnfusedNumpyKernel
 
-    return UnfusedNumpyKernel(plan, inv_k_plus_one, num_cols, dtype, num_channels=num_channels)
+    return UnfusedNumpyKernel(plan, inv_k_plus_one, num_cols, num_channels=num_channels)
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,6 @@ def create_kernel(
     plan: PushPlan,
     inv_k_plus_one,
     num_cols: int,
-    dtype,
     num_channels: int = 1,
 ):
     """Select and instantiate a kernel over ``plan``.
@@ -161,7 +160,7 @@ def create_kernel(
     any value.
     """
     spec = select_kernel(name)
-    return spec.factory(plan, inv_k_plus_one, num_cols, dtype, num_channels=num_channels)
+    return spec.factory(plan, inv_k_plus_one, num_cols, num_channels=num_channels)
 
 
 register_kernel(

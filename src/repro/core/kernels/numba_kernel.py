@@ -100,10 +100,10 @@ class NumbaFusedKernel(FusedNumpyKernel):
 
     name = "numba"
 
-    def __init__(self, plan, inv_k_plus_one, num_cols, dtype, num_channels=1):
+    def __init__(self, plan, inv_k_plus_one, num_cols, num_channels=1):
         if not NUMBA_AVAILABLE:  # defensive; the registry gates creation
             raise ImportError("numba is not installed")
-        super().__init__(plan, inv_k_plus_one, num_cols, dtype, num_channels)
+        super().__init__(plan, inv_k_plus_one, num_cols, num_channels)
 
     def _sample_full_active(self, rng, targets_out):
         plan = self._plan

@@ -36,7 +36,7 @@ Two implementations live here:
       instead of C strided passes).
 
     Tail steps (once a node has stopped) sample through
-    :meth:`PushPlan.sample_subset` and, at float64, prescale too.
+    :meth:`PushPlan.sample_subset` and prescale too.
 
     Each fused pass computes the same IEEE operations on the same
     operand pairs as the unfused step, so per-column results are
@@ -44,10 +44,6 @@ Two implementations live here:
     key vs argpartition's unspecified order), which perturbs bincount's
     per-bin accumulation order at the 1e-16 level. The parity suite pins
     the sampled k-subsets byte-identical and full-run outputs to 1e-8.
-
-Both kernels run at any supported state dtype; float32 halves memory
-traffic on the gather/scatter passes while keeping the random keys (and
-therefore the sampled targets) in float64, byte-identical across dtypes.
 """
 
 from __future__ import annotations
@@ -109,20 +105,14 @@ class _KernelBase:
         plan: PushPlan,
         inv_k_plus_one: np.ndarray,
         num_cols: int,
-        dtype,
         num_channels: int = 1,
     ):
-        dtype = np.dtype(dtype)
         self._plan = plan
         self._num_cols = int(num_cols)
         self._num_channels = max(1, int(num_channels))
-        self._dtype = dtype
         self._num_nodes = int(plan.degrees.shape[0])
-        # Share factors in two precisions: float64 for the historical
-        # masked scale pass, state dtype for the share arithmetic.
         self._inv = np.ascontiguousarray(inv_k_plus_one, dtype=np.float64)
-        self._inv_cast = self._inv.astype(dtype, copy=False)
-        self._shares_buf = np.empty((plan.max_pushes, num_cols), dtype=dtype)
+        self._shares_buf = np.empty((plan.max_pushes, num_cols), dtype=np.float64)
         self._scale = np.empty(self._num_nodes, dtype=np.float64)
 
     def step(
@@ -163,7 +153,7 @@ class _KernelBase:
 class UnfusedNumpyKernel(_KernelBase):
     """Reference kernel: the historical sparse-engine step, verbatim.
 
-    Byte-for-byte the pre-kernel engine at float64 — including the
+    Byte-for-byte the pre-kernel engine — including the
     ``argpartition`` target selection and its randomness consumption —
     so it doubles as the baseline for the fused kernels' speedup and
     parity measurements.
@@ -175,7 +165,7 @@ class UnfusedNumpyKernel(_KernelBase):
         senders, targets = self._plan.sample_subset(rng, active)
         effective_targets = self._effective_targets(senders, targets, loss_model)
         shares = self._shares_buf[: senders.size]
-        np.multiply(state[senders], self._inv_cast[senders, None], out=shares)
+        np.multiply(state[senders], self._inv[senders, None], out=shares)
         scale = self._scale
         scale.fill(1.0)
         scale[active] = self._inv[active]
@@ -196,19 +186,16 @@ class FusedNumpyKernel(_KernelBase):
 
     name = "fused"
 
-    def __init__(self, plan, inv_k_plus_one, num_cols, dtype, num_channels=1):
-        super().__init__(plan, inv_k_plus_one, num_cols, dtype, num_channels)
+    def __init__(self, plan, inv_k_plus_one, num_cols, num_channels=1):
+        super().__init__(plan, inv_k_plus_one, num_cols, num_channels)
         # Swap-safe prescale factors: eligible rows carry 1/(k_i + 1)
         # (bitwise equal to the reference factors), rows with no
         # neighbours are forced to exactly 1.0 so the prescaled matrix
         # can replace the state outright.
-        inv_swap = self._inv_cast.copy()
+        inv_swap = self._inv.copy()
         inv_swap[plan.degrees == 0] = 1.0
         self._inv_swap = inv_swap
-        # Tail steps prescale only where one product rounds like the
-        # reference's float64 scale and state-dtype shares (see below).
-        self._exact_prescale = bool(np.array_equal(self._inv_cast, self._inv))
-        self._prescaled = np.empty((self._num_nodes, num_cols), dtype=self._dtype)
+        self._prescaled = np.empty((self._num_nodes, num_cols), dtype=np.float64)
         self._targets_buf = np.empty(plan.max_pushes, dtype=np.int64)
         if num_cols <= COMBINED_BINCOUNT_MAX_COLS * self._num_channels:
             self._key_buf = np.empty((plan.max_pushes, num_cols), dtype=np.int64)
@@ -249,17 +236,12 @@ class FusedNumpyKernel(_KernelBase):
         scale = self._scale
         scale.fill(1.0)
         np.copyto(scale, self._inv, where=active)
-        if self._exact_prescale:  # prescale and swap, as on full steps
-            prescaled = self._prescaled
-            np.multiply(state, scale[:, None], out=prescaled)
-            np.take(prescaled, senders, axis=0, out=shares)
-            self._prescaled = state
-            state = prescaled
-        else:
-            # float32 factors differ from float64 ones unless every
-            # 1/(k_i + 1) is a power of two: keep both reference passes.
-            np.multiply(state[senders], self._inv_cast[senders, None], out=shares)
-            state *= scale[:, None]
+        # Prescale and swap, as on full steps.
+        prescaled = self._prescaled
+        np.multiply(state, scale[:, None], out=prescaled)
+        np.take(prescaled, senders, axis=0, out=shares)
+        self._prescaled = state
+        state = prescaled
         scatter_add_shares(state, effective_targets, shares, self._key_buf)
         self._record_heard(
             senders, effective_targets, lossless=loss_model is None, heard_out=heard_out

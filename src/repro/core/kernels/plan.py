@@ -102,8 +102,7 @@ class PushPlan:
     Parameters
     ----------
     indptr, indices, degrees:
-        The CSR view to sample over (global graph arrays, or a shard's
-        local view).
+        The graph's CSR arrays to sample over.
     push_counts:
         Per-row push counts ``k_i`` aligned with ``degrees``.
     """

@@ -22,16 +22,13 @@ scatter-accumulate, heard bookkeeping — is delegated to a pluggable
 All kernels draw targets through one shared
 :class:`~repro.core.kernels.plan.PushPlan`, so a fixed seed samples the
 same neighbour subsets under every kernel; see the kernels package for
-the exact byte-compatibility contract. The engine also accepts a state
-``dtype`` — float64 is the reference, float32 halves memory traffic
-while keeping sampling (and therefore the gossip communication pattern)
-byte-identical, since random keys always stay float64.
+the exact byte-compatibility contract.
 
 Semantics are identical to the dense engine: the same
 :class:`repro.core.convergence.ConvergenceProtocol` stop rule, the same
-:class:`repro.network.churn.PacketLossModel` mass-conserving redirect,
-the same per-step mass-conservation assertions (tolerance scaled to the
-state dtype), and the same drained-ratio carry for underflowed cells.
+:class:`repro.network.conditions.PacketLossModel` mass-conserving redirect,
+the same per-step mass-conservation assertions, and the same
+drained-ratio carry for underflowed cells.
 Identical seeds replay identical *sparse* runs bit-for-bit under a
 fixed kernel; the sparse and dense engines consume randomness in
 different patterns, so their trajectories differ step-by-step while
@@ -54,9 +51,9 @@ from repro.core.differential import resolve_push_counts
 from repro.core.errors import ConvergenceError, MassConservationError
 from repro.core.kernels import PushPlan, select_kernel
 from repro.core.results import GossipOutcome
-from repro.core.state import UNDEFINED_RATIO, mass_rtol_for, resolve_state_dtype
+from repro.core.state import MASS_RTOL, UNDEFINED_RATIO
 from repro.core.vector_engine import _as_state_matrix
-from repro.network.churn import PacketLossModel
+from repro.network.conditions import PacketLossModel
 from repro.network.graph import Graph
 from repro.utils.rng import RngLike, as_generator
 
@@ -92,11 +89,6 @@ class SparseGossipEngine:
         Optional churn/packet-loss model applied to every push.
     rng:
         Seed / generator for target selection.
-    dtype:
-        Gossip state precision: ``"float64"`` (reference, default) or
-        ``"float32"`` (half the memory traffic; target sampling stays
-        byte-identical). Anything else raises
-        :class:`repro.core.errors.UnsupportedDtypeError`.
     kernel:
         Push-round kernel name (``"fused"``, ``"numba"``,
         ``"unfused"``) or ``None``/"auto" for the best available — see
@@ -122,7 +114,6 @@ class SparseGossipEngine:
         loss_model: Optional[PacketLossModel] = None,
         rng: RngLike = None,
         degree_announcements: Optional[bool] = None,
-        dtype=np.float64,
         kernel: Optional[str] = None,
     ):
         graph = _coerce_graph(graph)
@@ -134,7 +125,6 @@ class SparseGossipEngine:
         self._push_counts = push_counts
         self._loss_model = loss_model
         self._rng = as_generator(rng)
-        self._dtype = resolve_state_dtype(dtype)
         # Resolve the kernel spec up front so an unavailable request
         # fails at construction, not mid-run.
         self._kernel_spec = select_kernel(kernel)
@@ -159,11 +149,6 @@ class SparseGossipEngine:
     def kernel_name(self) -> str:
         """Name of the push kernel this engine resolved to."""
         return self._kernel_spec.name
-
-    @property
-    def dtype(self) -> np.dtype:
-        """Gossip state precision this engine runs at."""
-        return self._dtype
 
     @property
     def _groups(self):
@@ -195,7 +180,6 @@ class SparseGossipEngine:
                 self._plan,
                 self._inv_k_plus_one,
                 num_cols,
-                self._dtype,
                 num_channels=num_channels,
             )
             self._kernels[key] = kernel
@@ -225,8 +209,8 @@ class SparseGossipEngine:
         """
         graph = self._graph
         n = graph.num_nodes
-        value = _as_state_matrix(values, n, "values", dtype=self._dtype)
-        weight = _as_state_matrix(weights, n, "weights", dtype=self._dtype)
+        value = _as_state_matrix(values, n, "values")
+        weight = _as_state_matrix(weights, n, "weights")
         d = value.shape[1]
         if num_channels < 1:
             raise ValueError(f"num_channels must be >= 1, got {num_channels}")
@@ -239,7 +223,7 @@ class SparseGossipEngine:
         names: List[str] = ["value", "weight"]
         columns: List[np.ndarray] = [value, weight]
         for name, extra in (extras or {}).items():
-            matrix = _as_state_matrix(extra, n, f"extras[{name}]", dtype=self._dtype)
+            matrix = _as_state_matrix(extra, n, f"extras[{name}]")
             if matrix.shape != value.shape:
                 raise ValueError(
                     f"extras[{name}] shape {matrix.shape} != values shape {value.shape}"
@@ -276,16 +260,14 @@ class SparseGossipEngine:
         degrees = graph.degrees
         eligible = degrees > 0
         eligible_count = self._plan.eligible_count
-        mass_rtol = mass_rtol_for(self._dtype)
         mass_bound = {
-            name: mass_rtol * max(abs(initial_mass[name]), 1.0) * max(1.0, np.sqrt(n * d))
+            name: MASS_RTOL * max(abs(initial_mass[name]), 1.0) * max(1.0, np.sqrt(n * d))
             for name in names
         }
 
         # Reusable bookkeeping buffers: the ratio matrices ping-pong
         # between steps, everything else is overwritten in full each
-        # round. All derived quantities are float64 regardless of the
-        # state dtype (the stop protocol is control flow, not mass).
+        # round.
         ratio_a = np.full((n, d), UNDEFINED_RATIO, dtype=np.float64)
         ratio_b = np.empty((n, d), dtype=np.float64)
         deviation_matrix = np.empty((n, d), dtype=np.float64)
@@ -302,10 +284,7 @@ class SparseGossipEngine:
 
         def compute_ratios(out: np.ndarray) -> bool:
             # Same operations as state.ratios(): fill the sentinel, then
-            # a masked divide. The quotient is computed at state
-            # precision and stored float64, so float32 runs carry
-            # float32-accurate ratios — bounded by the dtype-drift
-            # parity tests, and well inside any practical xi.
+            # a masked divide.
             value_view = state[:, slices["value"]]
             weight_view = state[:, slices["weight"]]
             np.not_equal(weight_view, 0.0, out=defined_now)

@@ -20,32 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.errors import UnsupportedDtypeError
-
-#: Gossip state precisions the vectorised engines implement. float64 is
-#: the reference; float32 halves state memory traffic at ~1e-4-scale
-#: relative drift over a round (bounded by the kernel parity suite).
-SUPPORTED_STATE_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
-
-
-def resolve_state_dtype(dtype) -> np.dtype:
-    """Validate and normalise a gossip state dtype request.
-
-    Raises
-    ------
-    repro.core.errors.UnsupportedDtypeError
-        For any dtype outside :data:`SUPPORTED_STATE_DTYPES` — the
-        engines never silently cast to a different precision.
-    """
-    resolved = np.dtype(dtype)
-    if resolved not in SUPPORTED_STATE_DTYPES:
-        supported = ", ".join(str(d) for d in SUPPORTED_STATE_DTYPES)
-        raise UnsupportedDtypeError(
-            f"gossip state dtype {resolved} is not supported; choose one of: {supported}"
-        )
-    return resolved
-
-
 #: Sentinel ratio used while a node's gossip weight is exactly zero
 #: (paper: "otherwise u <- 10").
 UNDEFINED_RATIO: float = 10.0
@@ -53,16 +27,6 @@ UNDEFINED_RATIO: float = 10.0
 #: Relative tolerance for mass-conservation assertions. Each gossip step
 #: performs O(N) float additions, so drift scales with N * eps.
 MASS_RTOL: float = 1e-9
-
-#: Mass-conservation tolerance for float32 gossip state. float32 eps is
-#: ~2e-7 (9 decimal digits fewer than float64), so the same N-scaled
-#: drift model needs a proportionally looser base tolerance.
-MASS_RTOL_FLOAT32: float = 1e-5
-
-
-def mass_rtol_for(dtype) -> float:
-    """Base mass-conservation tolerance for a gossip state dtype."""
-    return MASS_RTOL_FLOAT32 if np.dtype(dtype) == np.float32 else MASS_RTOL
 
 
 @dataclass

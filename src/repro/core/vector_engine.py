@@ -8,7 +8,7 @@ Python. Per step, for every still-active node ``i``:
 2. keep one share (the self-push);
 3. send one share to each of ``k_i`` *distinct* random neighbours
    (a push lost to churn is redirected back to the sender, conserving
-   mass — :class:`repro.network.churn.PacketLossModel`);
+   mass — :class:`repro.network.conditions.PacketLossModel`);
 4. sum everything received; compare the new estimate to the previous
    step's and run the convergence/stop protocol
    (:class:`repro.core.convergence.ConvergenceProtocol`).
@@ -36,17 +36,15 @@ from repro.core.convergence import (
 from repro.core.differential import resolve_push_counts
 from repro.core.errors import ConvergenceError, MassConservationError
 from repro.core.results import GossipOutcome
-from repro.core.state import mass_rtol_for, ratios, resolve_state_dtype
-from repro.network.churn import PacketLossModel
+from repro.core.state import MASS_RTOL, ratios
+from repro.network.conditions import PacketLossModel
 from repro.network.graph import Graph
 from repro.utils.rng import RngLike, as_generator
 
 
-def _as_state_matrix(
-    array: np.ndarray, num_nodes: int, name: str, dtype=np.float64
-) -> np.ndarray:
-    """Coerce a per-node state array to a ``(N, d)`` matrix of ``dtype``."""
-    out = np.array(array, dtype=dtype, copy=True)
+def _as_state_matrix(array: np.ndarray, num_nodes: int, name: str) -> np.ndarray:
+    """Coerce a per-node state array to a float64 ``(N, d)`` matrix."""
+    out = np.array(array, dtype=np.float64, copy=True)
     if out.ndim == 1:
         out = out.reshape(-1, 1)
     if out.ndim != 2 or out.shape[0] != num_nodes:
@@ -69,11 +67,6 @@ class VectorGossipEngine:
         Optional churn/packet-loss model applied to every push.
     rng:
         Seed / generator for target selection.
-    dtype:
-        Gossip state precision (:data:`repro.core.state.SUPPORTED_STATE_DTYPES`).
-        ``float32`` halves state memory traffic; ``float64`` (default)
-        is the correctness reference. Anything else raises
-        :class:`repro.core.errors.UnsupportedDtypeError`.
 
     Examples
     --------
@@ -95,10 +88,8 @@ class VectorGossipEngine:
         loss_model: Optional[PacketLossModel] = None,
         rng: RngLike = None,
         degree_announcements: Optional[bool] = None,
-        dtype=np.float64,
     ):
         self._graph = graph
-        self._dtype = resolve_state_dtype(dtype)
         # The differential rule needs each node to learn its neighbours'
         # degrees, which costs one push per directed edge at round start.
         # Fixed-count baselines (normal push) skip that exchange.
@@ -239,8 +230,8 @@ class VectorGossipEngine:
         graph = self._graph
         n = graph.num_nodes
         state: Dict[str, np.ndarray] = {
-            "value": _as_state_matrix(values, n, "values", dtype=self._dtype),
-            "weight": _as_state_matrix(weights, n, "weights", dtype=self._dtype),
+            "value": _as_state_matrix(values, n, "values"),
+            "weight": _as_state_matrix(weights, n, "weights"),
         }
         d = state["value"].shape[1]
         if num_channels < 1:
@@ -254,7 +245,7 @@ class VectorGossipEngine:
                 f"weights shape {state['weight'].shape} != values shape {state['value'].shape}"
             )
         for name, extra in (extras or {}).items():
-            matrix = _as_state_matrix(extra, n, f"extras[{name}]", dtype=self._dtype)
+            matrix = _as_state_matrix(extra, n, f"extras[{name}]")
             if matrix.shape != state["value"].shape:
                 raise ValueError(
                     f"extras[{name}] shape {matrix.shape} != values shape {state['value'].shape}"
@@ -266,7 +257,6 @@ class VectorGossipEngine:
         initial_mass = {
             name: float(component.sum(dtype=np.float64)) for name, component in state.items()
         }
-        mass_rtol = mass_rtol_for(self._dtype)
         # Components whose total weight mass is zero can never define a
         # ratio anywhere; they stay at the sentinel and are excluded from
         # the "ratio defined" requirement below.
@@ -292,9 +282,7 @@ class VectorGossipEngine:
         ever_defined = state["weight"] != 0.0
         history: Optional[List[np.ndarray]] = [] if track_history else None
 
-        # Share divisors at state precision: mixing float64 divisors into
-        # float32 state would silently upcast the share arithmetic.
-        k_plus_one = (self._push_counts + 1).astype(self._dtype).reshape(-1, 1)
+        k_plus_one = (self._push_counts + 1).astype(np.float64).reshape(-1, 1)
         push_messages = 0
         # Degree announcements: one message per directed edge at round start.
         protocol_messages = int(graph.degrees.sum()) if self._degree_announcements else 0
@@ -370,7 +358,7 @@ class VectorGossipEngine:
             for name, component in state.items():
                 total = float(component.sum(dtype=np.float64))
                 scale = max(abs(initial_mass[name]), 1.0)
-                if abs(total - initial_mass[name]) > mass_rtol * scale * max(1.0, np.sqrt(n * d)):
+                if abs(total - initial_mass[name]) > MASS_RTOL * scale * max(1.0, np.sqrt(n * d)):
                     raise MassConservationError(
                         f"component {name!r} mass drifted from {initial_mass[name]!r} to {total!r} at step {steps}"
                     )

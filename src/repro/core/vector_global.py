@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.backend import GossipConfig, run_backend
 from repro.core.results import GossipOutcome
 from repro.core.single_global import Convention
-from repro.network.churn import PacketLossModel
+from repro.network.conditions import PacketLossModel
 from repro.network.graph import Graph
 from repro.trust.matrix import TrustMatrix
 from repro.utils.rng import RngLike

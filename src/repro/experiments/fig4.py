@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 from repro.core.backend import GossipConfig
 from repro.experiments.runner import ExperimentResult, Stopwatch, full_scale_enabled
 from repro.facade import aggregate
-from repro.network.churn import PacketLossModel
+from repro.network.conditions import PacketLossModel
 from repro.network.preferential_attachment import preferential_attachment_graph
 from repro.utils.rng import as_generator
 

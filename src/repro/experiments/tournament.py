@@ -71,7 +71,7 @@ DEFAULT_ATTACKS: Dict[str, dict] = {
 DEFAULT_BACKENDS: Tuple[str, ...] = ("dense", "sparse")
 
 #: Full-scale worlds are capped here — the tournament measures relative
-#: algorithm behaviour, not scale ceilings (BENCH_sharded.json does that).
+#: algorithm behaviour, not scale ceilings.
 FULL_SCALE_CAP = 2000
 
 

@@ -6,9 +6,7 @@ with heterogeneous latency, lossy last miles, regional clustering and
 occasional partitions that heal. This module is the single home for all
 of that *network realism*, factored out of the engines:
 
-- :class:`PacketLossModel` — the paper's mass-conserving per-push loss
-  (moved here from :mod:`repro.network.churn`, which keeps a
-  deprecation re-export);
+- :class:`PacketLossModel` — the paper's mass-conserving per-push loss;
 - :class:`LatencySpec` — a seeded one-dimensional delay distribution
   (constant / uniform / exponential / lognormal);
 - :class:`LinkModel` — the protocol every network condition implements.

@@ -8,9 +8,9 @@ O(1) slice / precomputed array lookup, and makes the vectorised engine's
 scatter-adds cache-friendly for networks up to the paper's 50 000 nodes.
 
 Graphs are immutable after construction; churn is modelled at the
-message layer (see :mod:`repro.network.churn`), matching the paper's
-assumption that a leaving node hands its gossip mass to another node
-rather than mutating the topology mid-round.
+message layer (see :class:`repro.network.conditions.PacketLossModel`),
+matching the paper's assumption that a leaving node hands its gossip
+mass to another node rather than mutating the topology mid-round.
 """
 
 from __future__ import annotations

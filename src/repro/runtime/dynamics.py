@@ -51,19 +51,6 @@ Epochs can stop two ways (``stop_rule``):
   little: a single full-amplitude joiner opinion re-pays most of the
   mixing a cold start pays. Use it when protocol fidelity matters more
   than epoch latency.
-
-Sharded epochs
---------------
-The ``"sharded"`` backend runs dynamic epochs like any other
-``run_to_max``-capable engine: every epoch executes against the fresh
-:meth:`MutableOverlay.snapshot`, and because a shard partition is a
-pure function of ``(graph, num_shards)``, the backend re-balances its
-edge-cut shards automatically after churn — no partition state
-survives an epoch, so departed peers can never pin a shard boundary.
-Each ``run_backend`` call (one per accuracy-rule block) starts its own
-worker pool; for large overlays prefer a bigger ``block_steps`` (or
-``config.shard_workers = 1`` to run the shard schedule inline) so pool
-startup amortises.
 """
 
 from __future__ import annotations

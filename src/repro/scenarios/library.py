@@ -1,6 +1,6 @@
 """The seeded scenario catalogue.
 
-Sixteen scenarios ship with the repro, spanning the design space the
+Fifteen scenarios ship with the repro, spanning the design space the
 ROADMAP names; each composes the same axes (topology × workload ×
 churn × network × attack × dynamics × service × algorithm × backend),
 so new scenarios are a registration call away — no new plumbing. The two
@@ -8,10 +8,9 @@ dynamic scenarios (``flash-crowd``, ``steady-churn-100k``) run the
 epoch runtime of :mod:`repro.runtime` instead of a single static round,
 ``service-soak`` streams a seeded report workload through the serving
 layer of :mod:`repro.service` (bounded ingest, snapshot swaps,
-backpressure), ``million-peer-sharded`` exercises the multi-process
-sharded backend at the scale it exists for, three adversary scenarios
+backpressure), three adversary scenarios
 (``slander-under-churn``, ``sybil-flood-100k``,
-``oscillating-colluders-sharded``) sweep the attack registry of
+``oscillating-colluders``) sweep the attack registry of
 :mod:`repro.attacks.models` across the backend spectrum,
 ``computing-vs-delegating`` gossips Golem-style computing + delegating
 dual ranks as two channels of a single multi-channel pass under a
@@ -139,26 +138,6 @@ STEADY_CHURN_100K = register_scenario(
     )
 )
 
-MILLION_PEER_SHARDED = register_scenario(
-    Scenario(
-        name="million-peer-sharded",
-        description=(
-            "Scale-out ceiling: uniform mean gossip over a 1M-peer, ~8M-edge "
-            "power-law overlay on the multi-process sharded backend (4 workers, "
-            "byte-identical for any worker count)."
-        ),
-        topology=TopologySpec(
-            kind="powerlaw-fast", num_nodes=1_000_000, small_num_nodes=3000, m=8
-        ),
-        workload=WorkloadSpec(kind="mean"),
-        backend="sharded",
-        xi=1e-4,
-        max_steps=50_000,
-        seed=417,
-        shard_workers=4,
-    )
-)
-
 SLANDER_UNDER_CHURN = register_scenario(
     Scenario(
         name="slander-under-churn",
@@ -196,11 +175,11 @@ SYBIL_FLOOD_100K = register_scenario(
     )
 )
 
-OSCILLATING_COLLUDERS_SHARDED = register_scenario(
+OSCILLATING_COLLUDERS = register_scenario(
     Scenario(
-        name="oscillating-colluders-sharded",
+        name="oscillating-colluders",
         description=(
-            "On-off adversaries on the sharded backend: 5% oscillators slander a "
+            "On-off adversaries on the sparse backend: 5% oscillators slander a "
             "capped victim set on even epochs and behave honestly on odd ones; "
             "the off-phase rms collapses to 0 under shared seeds (rms_gclr_off)."
         ),
@@ -216,7 +195,7 @@ OSCILLATING_COLLUDERS_SHARDED = register_scenario(
             period=2,
             on_epochs=1,
         ),
-        backend="sharded",
+        backend="sparse",
         xi=1e-3,
         max_steps=50_000,
         seed=420,

@@ -109,8 +109,8 @@ class ReputationService:
         (:class:`~repro.core.backend.GossipConfig`); ``config.rng`` is
         ignored — every stream derives from ``seed``.
     backend:
-        Registered gossip backend name or ``"auto"`` (sparse/sharded at
-        scale; the runtime steers ``"auto"`` to a fixed-budget-capable
+        Registered gossip backend name or ``"auto"`` (sparse at scale;
+        the runtime steers ``"auto"`` to a fixed-budget-capable
         engine for the accuracy stop rule).
     seed:
         Single replay root: topology growth, epoch streams, everything.

@@ -329,7 +329,7 @@ class TestCrossBackendAgreement:
                         config=config,
                         backend=backend,
                     )
-                    for backend in ("message", "dense", "sparse", "sharded")
+                    for backend in ("message", "dense", "sparse")
                 },
             }
         return table

@@ -41,7 +41,7 @@ def fixture_values():
 class TestRegistry:
     def test_builtin_backends_registered(self):
         names = available_backends()
-        for expected in ("message", "dense", "sparse", "sharded", "async"):
+        for expected in ("message", "dense", "sparse", "async"):
             assert expected in names
 
     def test_vector_alias_resolves_to_dense(self):
@@ -165,7 +165,7 @@ class TestCrossBackendEquivalence:
     """Acceptance: every backend agrees to 1e-8 on the fixture topology."""
 
     @pytest.mark.parametrize(
-        "backend", ["message", "dense", "sparse", "sharded", "async", "auto"]
+        "backend", ["message", "dense", "sparse", "async", "auto"]
     )
     def test_backend_hits_fixpoint_to_1e8(self, fixture_values, backend):
         out = run_backend(
@@ -190,7 +190,7 @@ class TestCrossBackendEquivalence:
                 config=GossipConfig(xi=1e-10, rng=7, max_steps=100_000),
                 backend=name,
             ).estimates.reshape(-1)
-            for name in ("message", "dense", "sparse", "sharded", "async")
+            for name in ("message", "dense", "sparse", "async")
         }
         names = sorted(estimates)
         for a in names:
@@ -218,35 +218,24 @@ class TestAutoSelection:
         config = GossipConfig(run_to_max=True, max_steps=5)
         assert choose_backend_name(example_network(), config) == "dense"
 
-    def _sharded_scale_ring(self):
-        from repro.core.backend import AUTO_SPARSE_MAX_NODES
+    def test_huge_graph_stays_sparse_on_many_cores(self, monkeypatch):
+        # Sparse is the last rung of the auto policy: a ring above the
+        # old 250k-node sparse ceiling still resolves to it, whatever
+        # the core count and however loss is expressed.
+        import repro.utils.hardware as hardware
+        from repro.network.conditions import PacketLossModel
 
-        n = AUTO_SPARSE_MAX_NODES + 1
+        monkeypatch.setattr(hardware, "usable_cpu_count", lambda: 8)
+        n = 250_001
         i = np.arange(n, dtype=np.int64)
         a, b = (i - 1) % n, (i + 1) % n
         cols = np.empty(2 * n, dtype=np.int64)
         cols[0::2] = np.minimum(a, b)
         cols[1::2] = np.maximum(a, b)
-        return Graph.from_csr(n, 2 * np.arange(n + 1, dtype=np.int64), cols, validate=False)
-
-    def test_loss_model_config_falls_back_to_sparse_at_sharded_scale(self, monkeypatch):
-        # Regression (satellite of the adversary-engine PR): the sharded
-        # engine cannot split an explicit PacketLossModel generator
-        # across shards, so the auto policy must keep such configs on
-        # the single-process sparse engine instead of escalating into a
-        # BackendCapabilityError...
-        import repro.core.backend as backend_mod
-        from repro.network.churn import PacketLossModel
-
-        monkeypatch.setattr(backend_mod, "usable_cpu_count", lambda: 4)
-        ring = self._sharded_scale_ring()
-        assert choose_backend_name(ring) == "sharded"
+        ring = Graph.from_csr(n, 2 * np.arange(n + 1, dtype=np.int64), cols, validate=False)
+        assert choose_backend_name(ring) == "sparse"
         lossy = GossipConfig(loss_model=PacketLossModel(0.2, rng=0))
         assert choose_backend_name(ring, lossy) == "sparse"
-        # ...while seed-derived loss keeps the escalation (the sharded
-        # engine derives per-shard streams from loss_probability).
-        seeded = GossipConfig(loss_probability=0.2, rng=0)
-        assert choose_backend_name(ring, seeded) == "sharded"
 
 
 class TestCapabilityErrors:
@@ -280,16 +269,6 @@ class TestCapabilityErrors:
             )
         with pytest.raises(BackendCapabilityError, match="scalar"):
             run_backend(g, np.ones((10, 3)), np.ones((10, 3)), backend="async")
-
-    def test_sharded_rejects_explicit_loss_model(self, fixture_values):
-        from repro.network.churn import PacketLossModel
-
-        with pytest.raises(BackendCapabilityError, match="loss_probability"):
-            run_backend(
-                example_network(), fixture_values, np.ones(10),
-                config=GossipConfig(loss_model=PacketLossModel(0.2, rng=0)),
-                backend="sharded",
-            )
 
     def test_async_rejects_synchronous_stop_knobs(self, fixture_values):
         with pytest.raises(BackendCapabilityError, match="patience"):
@@ -454,7 +433,7 @@ class TestConfigAwareLayers:
     def test_collusion_impact_churn_noise_cancels(self, pa_graph_small, small_trust):
         from repro.attacks.collusion import group_colluders, select_colluders
         from repro.attacks.evaluate import collusion_impact
-        from repro.network.churn import PacketLossModel
+        from repro.network.conditions import PacketLossModel
 
         attack = group_colluders(select_colluders(60, 0.2, rng=2), 3)
         impact = collusion_impact(
@@ -509,7 +488,7 @@ class TestCsrRoundTripWithIsolatedNodes:
 
     def test_gossip_skips_isolates_on_all_backends(self, graph_with_isolates):
         values = np.arange(6, dtype=np.float64)
-        for backend in ("message", "dense", "sparse", "sharded"):
+        for backend in ("message", "dense", "sparse"):
             out = run_backend(
                 graph_with_isolates,
                 values,
@@ -540,7 +519,7 @@ class TestNetworkAxis:
         with pytest.raises(ValueError, match="not both"):
             GossipConfig(network=InstantLink(0.1), loss_model=PacketLossModel(0.2, rng=0))
 
-    @pytest.mark.parametrize("backend", ["message", "dense", "sparse", "sharded"])
+    @pytest.mark.parametrize("backend", ["message", "dense", "sparse"])
     def test_sync_backends_reject_latency_models(self, fixture_values, backend):
         from repro.network.conditions import HomogeneousLink, LatencySpec
 
@@ -565,7 +544,7 @@ class TestNetworkAxis:
                 config=config, backend="dense",
             )
 
-    @pytest.mark.parametrize("backend", ["dense", "sparse", "sharded"])
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_loss_only_network_byte_identical_to_loss_probability(
         self, fixture_values, backend
     ):

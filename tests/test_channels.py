@@ -6,12 +6,11 @@ Covers the tentpole contract from every side:
   get_backend-spy regression pattern of the PR-4 ``push_sum_average``
   fix), plus a source lint that no default in ``src/repro`` hardcodes
   the dense engine outside doctest examples;
-- cross-backend parity at V ∈ {1, 2, 4} on dense/sparse/sharded;
-- V = 1 byte-identity across kernels × executors (the historical code
-  path must be executed literally);
+- cross-backend parity at V ∈ {1, 2, 4} on dense/sparse;
+- V = 1 byte-identity across kernels (the historical code path must be
+  executed literally);
 - per-channel eq.-7 convergence: one converged channel must not stop a
   straggler channel;
-- float32 multi-channel rounds stay within drift tolerance;
 - the scalar-state backends (message/async) raise the typed capability
   error instead of silently averaging channels.
 """
@@ -34,7 +33,6 @@ from repro.core.backend import (
 )
 from repro.core.convergence import ConvergenceProtocol, channel_deviations
 from repro.core.kernels import available_kernels
-from repro.core.sharded_engine import ShardedGossipEngine
 from repro.core.sparse_engine import SparseGossipEngine
 from repro.core.vector_engine import VectorGossipEngine
 from repro.facade import aggregate
@@ -48,11 +46,6 @@ SRC_ROOT = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 @pytest.fixture(scope="module")
 def graph():
     return preferential_attachment_graph(200, m=2, rng=7)
-
-
-@pytest.fixture(scope="module")
-def stacked_values(graph):
-    return np.random.default_rng(11).random((graph.num_nodes, 4))
 
 
 class TestSweptBackendDefaults:
@@ -144,7 +137,7 @@ class TestSweptBackendDefaults:
 
 
 class TestCrossBackendParity:
-    """dense/sparse/sharded agree to 1e-8 at every channel count."""
+    """dense/sparse agree to 1e-8 at every channel count."""
 
     @pytest.mark.parametrize("num_channels", [1, 2, 4])
     def test_backends_agree(self, num_channels):
@@ -155,7 +148,7 @@ class TestCrossBackendParity:
             xi=1e-10, max_steps=100_000, rng=5, num_channels=num_channels
         )
         estimates = {}
-        for backend in ("dense", "sparse", "sharded"):
+        for backend in ("dense", "sparse"):
             out = run_backend(g, values, weights, config=config, backend=backend)
             assert out.num_channels == num_channels
             estimates[backend] = out.estimates
@@ -210,20 +203,6 @@ class TestV1ByteIdentity:
             values, weights, xi=1e-6, max_steps=2000
         )
         new = SparseGossipEngine(graph, rng=6, kernel=kernel).run(
-            values, weights, xi=1e-6, max_steps=2000, num_channels=1
-        )
-        assert old.steps == new.steps
-        np.testing.assert_array_equal(old.values, new.values)
-        np.testing.assert_array_equal(old.weights, new.weights)
-
-    @pytest.mark.parametrize("executor", ["inline", "threads", "processes"])
-    def test_sharded_executors_byte_identical(self, graph, executor):
-        values = np.random.default_rng(4).random(graph.num_nodes)
-        weights = np.ones_like(values)
-        old = ShardedGossipEngine(graph, rng=6, executor=executor).run(
-            values, weights, xi=1e-6, max_steps=2000
-        )
-        new = ShardedGossipEngine(graph, rng=6, executor=executor).run(
             values, weights, xi=1e-6, max_steps=2000, num_channels=1
         )
         assert old.steps == new.steps
@@ -293,24 +272,6 @@ class TestPerChannelConvergence:
         old = np.array([[0.5, 2.5, 3.0, 5.0]])
         out = channel_deviations(new, old, 2)
         np.testing.assert_allclose(out, [[1.0, 1.0]])
-
-
-class TestFloat32Channels:
-    """float32 multi-channel rounds stay within drift tolerance."""
-
-    def test_sparse_float32_matches_float64(self, graph, stacked_values):
-        weights = np.ones_like(stacked_values)
-        f64 = SparseGossipEngine(graph, rng=5).run(
-            stacked_values, weights, xi=1e-6, max_steps=3000, num_channels=4
-        )
-        f32 = SparseGossipEngine(graph, rng=5, dtype=np.float32).run(
-            stacked_values, weights, xi=1e-6, max_steps=3000, num_channels=4
-        )
-        assert f32.values.dtype == np.float32
-        assert f32.converged.all()
-        np.testing.assert_allclose(
-            f32.estimates.astype(np.float64), f64.estimates, atol=1e-3
-        )
 
 
 class TestCapabilityErrors:

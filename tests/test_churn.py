@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.network.churn import PacketLossModel, no_loss
+from repro.network.conditions import PacketLossModel, no_loss
 
 
 class TestPacketLossModel:

@@ -112,11 +112,6 @@ class TestInstantLink:
 
 
 class TestPacketLossModel:
-    def test_reexported_from_churn(self):
-        from repro.network.churn import PacketLossModel as legacy
-
-        assert legacy is PacketLossModel
-
     def test_counters_and_redirect(self):
         model = PacketLossModel(1.0, rng=0)
         senders = np.array([3, 4])

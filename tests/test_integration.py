@@ -16,7 +16,7 @@ from repro.core.vector_engine import VectorGossipEngine
 from repro.core.vector_gclr import aggregate_vector_gclr, true_vector_gclr
 from repro.core.weights import WeightParams
 from repro.analysis.metrics import average_rms_error
-from repro.network.churn import PacketLossModel
+from repro.network.conditions import PacketLossModel
 from repro.network.preferential_attachment import preferential_attachment_graph
 from repro.trust.matrix import complete_trust_matrix, random_trust_matrix
 

@@ -1,24 +1,16 @@
-"""Kernel registry, fused/unfused parity, and the float32 drift bound.
+"""Kernel registry and fused/unfused parity.
 
 The fused kernels exist purely for speed: every observable quantity —
 steps, state, message counts, convergence flags — must match the
-historical unfused step byte-for-byte at float64 (the two paths draw
-byte-identical targets from one shared :class:`PushPlan`). float32 is
-allowed bounded drift: mass conserved to the dtype tolerance and the
-fixpoint within 1e-4 of the float64 reference, property-tested across
-every backend that implements it; float64-only backends must raise the
-typed :class:`UnsupportedDtypeError`, never silently upcast.
+historical unfused step byte-for-byte (the two paths draw
+byte-identical targets from one shared :class:`PushPlan`).
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import repro.core.kernels as kernels_mod
 from repro import GossipConfig, aggregate
-from repro.core.backend import run_backend
-from repro.core.errors import UnsupportedDtypeError
 from repro.core.kernels import (
     KernelSpec,
     KernelUnavailableError,
@@ -28,8 +20,7 @@ from repro.core.kernels import (
 )
 from repro.core.kernels.numba_kernel import NUMBA_AVAILABLE
 from repro.core.sparse_engine import SparseGossipEngine
-from repro.core.state import mass_rtol_for
-from repro.network.churn import PacketLossModel
+from repro.network.conditions import PacketLossModel
 from repro.network.preferential_attachment import (
     preferential_attachment_graph,
     preferential_attachment_graph_fast,
@@ -185,84 +176,6 @@ class TestKernelParity:
         assert out.steps == ref.steps
         np.testing.assert_array_equal(out.values, ref.values)
         np.testing.assert_array_equal(out.extras["count"], ref.extras["count"])
-
-
-class TestFloat32:
-    def test_sparse_float32_state_dtype_and_accuracy(self):
-        graph = preferential_attachment_graph_fast(3000, 4, rng=11)
-        n = graph.num_nodes
-        values = np.random.default_rng(5).random(n)
-        weights = np.ones(n)
-        ref = SparseGossipEngine(graph, rng=77).run(values, weights, xi=1e-5)
-        out = SparseGossipEngine(graph, rng=77, dtype=np.float32).run(
-            values, weights, xi=1e-5
-        )
-        assert out.values.dtype == np.float32
-        est_ref = ref.values[:, 0] / ref.weights[:, 0]
-        est = out.values[:, 0].astype(np.float64) / out.weights[:, 0].astype(np.float64)
-        assert float(np.abs(est - est_ref).max()) < 1e-4
-
-    def test_message_backend_raises_typed_error(self, pa_graph_small):
-        values = np.ones(pa_graph_small.num_nodes)
-        with pytest.raises(UnsupportedDtypeError, match="float64"):
-            run_backend(
-                pa_graph_small,
-                values,
-                np.ones_like(values),
-                config=GossipConfig(dtype="float32", rng=1),
-                backend="message",
-            )
-
-    def test_async_backend_raises_typed_error(self, pa_graph_small):
-        values = np.ones(pa_graph_small.num_nodes)
-        with pytest.raises(UnsupportedDtypeError):
-            run_backend(
-                pa_graph_small,
-                values,
-                np.ones_like(values),
-                config=GossipConfig(dtype="float32", rng=1),
-                backend="async",
-            )
-
-    def test_unsupported_dtype_rejected_at_config_construction(self):
-        with pytest.raises(UnsupportedDtypeError, match="not supported"):
-            GossipConfig(dtype="int32")
-        with pytest.raises(UnsupportedDtypeError):
-            GossipConfig(dtype="float16")
-
-
-@settings(max_examples=8, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-    n=st.integers(min_value=24, max_value=96),
-    backend=st.sampled_from(["dense", "sparse", "sharded"]),
-)
-def test_float32_drift_bound_property(seed, n, backend):
-    """Property row: float32 gossip conserves mass and lands within 1e-4.
-
-    For every backend implementing float32, a full round at float32 must
-    (a) keep each component's mass within the float32 tolerance of its
-    initial total and (b) reach a fixpoint within 1e-4 of the float64
-    reference run of the same backend and seed.
-    """
-    graph = preferential_attachment_graph(n, m=2, rng=seed)
-    values = np.random.default_rng(seed).random(n)
-    common = dict(xi=1e-6, rng=seed + 1, patience=2)
-    ref = aggregate(graph, values, GossipConfig(**common), backend=backend)
-    out = aggregate(graph, values, GossipConfig(dtype="float32", **common), backend=backend)
-    assert out.values.dtype == np.float32
-
-    rtol = mass_rtol_for(np.float32) * max(1.0, np.sqrt(n))
-    for component, initial in (
-        (out.values, values.sum()),
-        (out.weights, float(n)),
-    ):
-        total = float(component.astype(np.float64).sum())
-        assert abs(total - initial) <= rtol * max(abs(initial), 1.0)
-
-    est_ref = ref.values[:, 0] / ref.weights[:, 0]
-    est = out.values[:, 0].astype(np.float64) / out.weights[:, 0].astype(np.float64)
-    assert float(np.abs(est - est_ref).max()) < 1e-4
 
 
 @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="optional 'kernels' extra not installed")

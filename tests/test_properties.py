@@ -22,7 +22,7 @@ from repro.core.differential import push_counts
 from repro.core.state import UNDEFINED_RATIO, ratios
 from repro.core.vector_engine import VectorGossipEngine
 from repro.core.weights import WeightParams, collusion_damping_factor
-from repro.network.churn import PacketLossModel
+from repro.network.conditions import PacketLossModel
 from repro.network.degree_sequence import havel_hakimi_graph, is_graphical
 from repro.network.preferential_attachment import preferential_attachment_graph
 from repro.trust.matrix import TrustMatrix

@@ -36,9 +36,7 @@ pytestmark = pytest.mark.property
 #: Synchronous backends every draw is run through ("async" gossips on
 #: exponential clocks with its own stop rule, so it is compared against
 #: the fixpoint separately rather than trajectory-for-trajectory).
-#: "sharded" runs inline (workers=1) at these sizes — the identical
-#: shard schedule the multi-process path executes, byte for byte.
-SYNC_BACKENDS = ("message", "dense", "sparse", "sharded")
+SYNC_BACKENDS = ("message", "dense", "sparse")
 
 SUITE = settings(
     max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -126,7 +124,7 @@ class TestMassConservation:
         params=world,
         knobs=config_knobs,
         loss=st.floats(min_value=0.0, max_value=0.6),
-        backend=st.sampled_from(("dense", "sparse", "sharded")),
+        backend=st.sampled_from(("dense", "sparse")),
     )
     def test_totals_invariant_under_packet_loss(self, params, knobs, loss, backend):
         """Lost pushes self-redirect, so the global sums never move."""

@@ -43,11 +43,6 @@ PINS = {
         100, 217044, 47960,
         "60de656f1875e9dbf3203c1e63e8fbe81d39c25ae8ee0472e4d582e92d540510",
     ),
-    "float32": (
-        dict(xi=1e-6, rng=11, dtype="float32"),
-        103, 217251, 47960,
-        "e9da373b0eb36c59320bab6a67c015359dfa7a90548a2a9ccd87b89b50b0903a",
-    ),
     "unfused": (
         dict(xi=1e-6, rng=11, kernel="unfused"),
         100, 217044, 47960,
@@ -62,11 +57,6 @@ PINS = {
         dict(xi=1e-6, rng=3, run_to_max=True, max_steps=40),
         40, 128680, 24015,
         "5e914a22461abd66a451794d886bcf4af354deae315a6d07c5458f16dc9d6e30",
-    ),
-    "run_to_max_float32": (
-        dict(xi=1e-6, rng=3, run_to_max=True, max_steps=40, dtype="float32"),
-        40, 128680, 24015,
-        "0848beb0cef958c3b368b4d36b96d8f7a0676af971ca44a2e33424e81c49dbef",
     ),
 }
 
@@ -100,7 +90,7 @@ class TestRunPins:
         outcome = aggregate(graph, values, GossipConfig(**config), backend="sparse")
         assert _fingerprint(outcome) == tuple(expected)
 
-    @pytest.mark.parametrize("name", ["float64", "float32", "unfused", "lossy"])
+    @pytest.mark.parametrize("name", ["float64", "unfused", "lossy"])
     def test_converged_pins_run_tail_steps(self, world, name):
         # Fewer pushes than steps x full-active pushes: some nodes
         # stopped early, so the subset sampler and tail step ran.

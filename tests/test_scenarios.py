@@ -17,7 +17,7 @@ from repro.scenarios import (
 from repro.scenarios.__main__ import main as scenarios_main
 
 SEEDED = ("static-powerlaw", "churn-heavy", "collusion-under-churn", "free-riding-500k")
-ATTACK_SEEDED = ("slander-under-churn", "sybil-flood-100k", "oscillating-colluders-sharded")
+ATTACK_SEEDED = ("slander-under-churn", "sybil-flood-100k", "oscillating-colluders")
 
 
 class TestCatalogue:
@@ -140,8 +140,8 @@ class TestRunScenario:
         assert result.metrics["rms_gclr"] > 0.0
 
     def test_oscillating_colluders_off_phase_cancels(self):
-        result = run_scenario("oscillating-colluders-sharded", small=True)
-        assert result.backend == "sharded"
+        result = run_scenario("oscillating-colluders", small=True)
+        assert result.backend == "sparse"
         assert result.metrics["rms_gclr"] > 0.0
         # Honest phase under identical seeds: the poison vanishes.
         assert result.metrics["rms_gclr_off"] == 0.0

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.core.errors import ConvergenceError
 from repro.core.sparse_engine import SparseGossipEngine
 from repro.core.vector_engine import VectorGossipEngine
-from repro.network.churn import PacketLossModel
+from repro.network.conditions import PacketLossModel
 from repro.network.graph import Graph
 from repro.network.preferential_attachment import preferential_attachment_graph
 from repro.network.random_graphs import erdos_renyi_graph

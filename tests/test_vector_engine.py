@@ -7,7 +7,7 @@ from repro.core.differential import fixed_push_counts
 from repro.core.errors import ConvergenceError
 from repro.core.state import UNDEFINED_RATIO
 from repro.core.vector_engine import VectorGossipEngine
-from repro.network.churn import PacketLossModel
+from repro.network.conditions import PacketLossModel
 from repro.network.graph import Graph
 
 
