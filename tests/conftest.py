@@ -57,3 +57,36 @@ def small_trust(pa_graph_small: Graph) -> TrustMatrix:
 def rng() -> np.random.Generator:
     """A fresh fixed-seed generator per test."""
     return np.random.default_rng(2016)
+
+
+#: PCG64's 128-bit LCG multiplier (state <- state * MULT + inc).
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@pytest.fixture
+def generator_at():
+    """Factory: a PCG64 ``Generator`` whose next ``random()`` is ``k / 2**53``.
+
+    ``Generator.random`` returns ``(next_uint64 >> 11) * 2**-53`` and
+    PCG64 outputs ``rotr(hi ^ lo, hi >> 122)`` of its freshly stepped
+    128-bit state. Choosing ``hi`` with a zero rotation and
+    ``lo = hi ^ (k << 11)`` fixes that state; stepping the LCG back once
+    gives the state to install. Tests use it to put a uniform exactly
+    on a cumulative-weight boundary, where float and exact arithmetic
+    can disagree.
+    """
+
+    def build(k: int, inc: int = 0xDA3E39CB94B95BDB) -> np.random.Generator:
+        hi = 0x0123456789ABCDEF
+        stepped = (hi << 64) | (hi ^ (k << 11))
+        state = ((stepped - inc) * pow(_PCG64_MULT, -1, 1 << 128)) % (1 << 128)
+        bits = np.random.PCG64()
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return np.random.Generator(bits)
+
+    return build

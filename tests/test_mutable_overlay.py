@@ -238,6 +238,174 @@ class TestExplicitDuplicateEdgePath:
             overlay.check_invariants()
 
 
+class TestReadOnlyPeerIdMap:
+    """The cached peer-id map is shared (with copies too): no writes."""
+
+    def test_snapshot_peer_ids_are_read_only(self, pa_graph_small):
+        overlay = MutableOverlay.from_graph(pa_graph_small)
+        _, pids = overlay.snapshot()  # the from_graph cache
+        with pytest.raises(ValueError):
+            pids[:] = 0
+        overlay.add_peer(m=2, rng=0)
+        _, pids = overlay.snapshot()  # a patched snapshot
+        with pytest.raises(ValueError):
+            pids[:] = 0
+
+    def test_copy_shares_an_unwritable_map(self, pa_graph_small):
+        overlay = MutableOverlay.from_graph(pa_graph_small)
+        overlay.remove_peer(3, rng=0)
+        overlay.snapshot()  # fills the cache the copy shares
+        clone = overlay.copy()
+        with pytest.raises(ValueError):
+            clone.snapshot()[1][0] = 99
+        assert overlay.snapshot()[1].tolist() == clone.peer_ids().tolist()
+
+    def test_peer_ids_is_caller_owned(self, pa_graph_small):
+        overlay = MutableOverlay.from_graph(pa_graph_small)
+        pids = overlay.peer_ids()
+        pids[:] = 0
+        assert overlay.peer_ids().tolist() == list(range(pa_graph_small.num_nodes))
+
+
+def choice_oracle(overlay, count, rng, exclude=()):
+    """``Generator.choice`` over the overlay's degree weights: the
+    sampler's reference (the call the join sampler used to make)."""
+    weights = overlay._deg.astype(np.float64) * overlay._alive
+    for pid in exclude:
+        weights[pid] = 0.0
+    picks = rng.choice(weights.shape[0], size=count, replace=False, p=weights / weights.sum())
+    return [int(p) for p in picks]
+
+
+def assert_matches_oracle(overlay, count, seed, exclude=()):
+    """Same picks and same RNG position after the draw as ``choice``."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    twin = np.random.Generator(type(rng.bit_generator)())
+    twin.bit_generator.state = rng.bit_generator.state
+    expected = choice_oracle(overlay, count, twin, exclude)
+    assert overlay._sample_targets(count, rng, exclude=exclude) == expected
+    assert rng.random() == twin.random()
+    overlay.check_invariants()  # lifted weights were restored
+    return expected
+
+
+def hub_world(leaves=40):
+    """A star plus a few leaf-leaf edges: the hub holds ~half the weight,
+    so multi-target draws repeat it and need redraw rounds."""
+    edges = [(0, i) for i in range(1, leaves + 1)]
+    edges += [(i, i + 1) for i in range(1, leaves, 7)]
+    return MutableOverlay.from_graph(Graph(leaves + 1, edges))
+
+
+class TestSamplerMatchesChoice:
+    """``_sample_targets`` equals ``Generator.choice(replace=False, p=...)``."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    def test_pa_overlay(self, count):
+        overlay = MutableOverlay.grow_preferential(300, m=3, rng=8)
+        for seed in range(30):
+            assert_matches_oracle(overlay, count, seed)
+
+    def test_dominant_hub_forces_redraw_rounds(self):
+        overlay = hub_world()
+        redraws = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            assert_matches_oracle(overlay, 3, rng)
+            # One round draws exactly 3 uniforms (plus the probe above).
+            plain = np.random.default_rng(seed)
+            plain.random(4)
+            redraws += rng.bit_generator.state != plain.bit_generator.state
+        assert redraws > 10
+
+    def test_exclusion(self):
+        overlay = hub_world()
+        for seed in range(30):
+            picks = assert_matches_oracle(overlay, 2, seed, exclude=(0,))
+            assert 0 not in picks
+            assert_matches_oracle(overlay, 1, seed, exclude=(0, 5, 5, 12))
+
+    def test_after_churn_and_capacity_growth(self):
+        overlay = MutableOverlay.grow_preferential(50, m=2, rng=3)
+        rng = np.random.default_rng(4)
+        for step in range(120):  # capacity grows 50 -> 100 -> 200
+            if step % 3 == 2:
+                pids = overlay.peer_ids()
+                overlay.remove_peer(int(pids[rng.integers(pids.shape[0])]), rng=rng)
+            else:
+                overlay.add_peer(m=2, rng=rng)
+            assert_matches_oracle(overlay, 2, step)
+        assert overlay._deg.shape[0] == 200
+
+    def test_copy_samples_like_the_original(self):
+        overlay = hub_world()
+        clone = overlay.copy()
+        clone.add_peer(m=3, rng=1)
+        for seed in range(20):
+            assert_matches_oracle(overlay, 3, seed)
+            assert_matches_oracle(clone, 3, seed)
+
+    @pytest.mark.parametrize(
+        "edges, k, pick",
+        [
+            # Degrees 4,3,1,2,0,0,1,1, x just below 10/12: exact
+            # arithmetic picks peer 3, the float CDF peer 6.
+            ([(0, 1), (0, 2), (0, 3), (0, 6), (1, 3), (1, 7)], 7505999378950826, 6),
+            # Degrees 2,1,2,1, x = 3/6 exactly: exact picks peer 2, the
+            # float CDF peer 1.
+            ([(0, 2), (0, 3), (1, 2)], 1 << 52, 1),
+        ],
+    )
+    def test_boundary_uniform_takes_the_float_pick(self, generator_at, edges, k, pick):
+        overlay = MutableOverlay.from_graph(Graph(max(map(max, edges)) + 1, edges))
+        assert assert_matches_oracle(overlay, 1, generator_at(k)) == [pick]
+
+    def test_guard_band_always_tripping_falls_back_every_round(self, monkeypatch):
+        import repro.network.mutable as mutable
+
+        rounds = []
+        draw_float = MutableOverlay._draw_float
+
+        def spy(self, uniforms, excluded, picked):
+            rounds.append(uniforms.shape[0])
+            return draw_float(self, uniforms, excluded, picked)
+
+        monkeypatch.setattr(mutable, "_GUARD_ULPS", 1 << 62)
+        monkeypatch.setattr(MutableOverlay, "_draw_float", spy)
+        overlay = hub_world()
+        for seed in range(30):
+            assert_matches_oracle(overlay, 3, seed)
+            assert_matches_oracle(overlay, 2, seed, exclude=(0,))
+        assert len(rounds) > 60
+
+
+class TestInvariantChecks:
+    """check_invariants sees corruption of each derived structure."""
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda o: o._fen.__setitem__(3, o._fen[3] + 1), "Fenwick"),
+            (lambda o: setattr(o, "_nonzero", o._nonzero + 1), "nonzero"),
+            (lambda o: o._live.__setitem__(0, 1), "live-id"),
+            (lambda o: setattr(o, "_snap_rows", o._snap_rows[::-1].copy()), "sorted"),
+        ],
+    )
+    def test_corruption_is_caught(self, pa_graph_small, corrupt, message):
+        overlay = MutableOverlay.from_graph(pa_graph_small)
+        overlay.check_invariants()
+        corrupt(overlay)
+        with pytest.raises(AssertionError, match=message):
+            overlay.check_invariants()
+
+    def test_missing_pending_removal_is_caught(self, fig2_network):
+        overlay = MutableOverlay.from_graph(fig2_network)
+        overlay.add_peer(m=1, rng=0)
+        overlay._pending_remove.add((0, 9))  # not an edge of the baseline
+        with pytest.raises(AssertionError, match="baseline"):
+            overlay.snapshot()
+
+
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
@@ -286,6 +454,11 @@ class OverlayMachine(RuleBasedStateMachine):
     @rule()
     def bridge(self):
         self.overlay.bridge_components(rng=self.rng)
+
+    @rule()
+    def fork(self):
+        # Continue on an independent copy (tree, live ids, baseline).
+        self.overlay = self.overlay.copy()
 
     @rule()
     def snapshot_agrees(self):
