@@ -203,12 +203,10 @@ def attack_impact(
         Gossip knobs, forwarded whole through :func:`repro.aggregate`
         (``k``/``push_counts``, ``warmup_steps``, ``track_history``,
         ... all apply). ``rng`` is reduced to one integer seed shared by
-        the clean and poisoned runs, and ``loss_probability`` churn is
-        derived statelessly from that seed
-        (:meth:`~repro.core.backend.GossipConfig.materialize`), so both
-        gossip noise and churn noise cancel between the two runs. A
-        stateful ``loss_model`` cannot be replayed per run and is
-        rejected — use ``loss_probability``.
+        the clean and poisoned runs, and the ``network`` link model's
+        loss draws are derived statelessly from that seed
+        (:meth:`~repro.core.backend.GossipConfig.link_stream`), so both
+        gossip noise and churn noise cancel between the two runs.
     backend:
         Registered gossip backend name. The default ``"auto"`` follows
         :func:`~repro.core.backend.choose_backend_name` — resolved
@@ -321,12 +319,6 @@ def attack_impact(
     clean_outcome = dirty_outcome = None
     resolved: Optional[str] = None
     if use_gossip:
-        if config.loss_model is not None:
-            raise ValueError(
-                "attack_impact replays churn identically across the clean and "
-                "poisoned runs; a shared stateful loss_model cannot be re-seeded — "
-                "pass loss_probability instead"
-            )
         run_config = replace(config, rng=_derive_seed(config))
         # Resolve once — against the poisoned (larger) world, or from
         # the series cache so every epoch runs on the same engine.

@@ -55,7 +55,6 @@ def push_sum_average(
     *,
     xi: float = 1e-4,
     rng: RngLike = None,
-    loss_model: Optional[PacketLossModel] = None,
     max_steps: int = 10_000,
     patience: int = 3,
     backend: str = "auto",
@@ -75,7 +74,7 @@ def push_sum_average(
         Topology.
     values:
         Per-node numbers to average, shape ``(N,)``.
-    xi, rng, loss_model, max_steps, patience:
+    xi, rng, max_steps, patience:
         As in :meth:`repro.core.vector_engine.VectorGossipEngine.run`.
     backend:
         Registered gossip backend name; the default ``"auto"`` follows
@@ -103,7 +102,6 @@ def push_sum_average(
         config=GossipConfig(
             xi=xi,
             k=1,
-            loss_model=loss_model,
             rng=rng,
             max_steps=max_steps,
             patience=patience,

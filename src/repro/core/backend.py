@@ -10,7 +10,8 @@ one protocol:
 
 - :class:`GossipConfig` captures every shared knob of a gossip round
   (push counts ``k_i``, GCLR weighting constants, the Δ re-push
-  threshold, the convergence criterion, randomness, packet loss);
+  threshold, the convergence criterion, randomness, the network's
+  link model);
 - :class:`GossipBackend` is the protocol all engines are adapted to:
   ``run(graph, values, weights, extras=..., config=...) ->``
   :class:`repro.core.results.GossipOutcome`;
@@ -42,8 +43,9 @@ from repro.core.differential import fixed_push_counts
 from repro.core.errors import GossipError
 from repro.core.results import GossipOutcome
 from repro.core.weights import WeightParams
-from repro.network.conditions import InstantLink, LinkModel, PacketLossModel
+from repro.network.conditions import LinkModel, PacketLossModel
 from repro.network.graph import Graph
+from repro.utils.registry import Registry
 from repro.utils.rng import RngLike, spawn_child, stateless_child_sequence
 
 #: Spawn key of the loss-model stream derived by GossipConfig.materialize.
@@ -61,8 +63,8 @@ class UnknownBackendError(KeyError, ValueError):
     """An unregistered backend/engine name was requested.
 
     Inherits both ``KeyError`` (registry-lookup convention) and
-    ``ValueError`` (what the pre-registry entry points raised for a bad
-    ``engine=`` argument), so either handling style keeps working.
+    ``ValueError`` (bad-argument convention), so either handling style
+    works.
     """
 
 
@@ -102,27 +104,21 @@ class GossipConfig:
         ``params``, consumed by
         :class:`repro.core.rounds.GossipRoundManager` when constructed
         with ``config=``, not by single-round engines.
-    loss_probability:
-        Per-push packet-loss probability; when > 0 and no explicit
-        ``loss_model`` is given, a mass-conserving
-        :class:`repro.network.conditions.PacketLossModel` is derived from
-        ``rng``.
-    loss_model:
-        Explicit packet-loss model (takes precedence over
-        ``loss_probability``).
     network:
-        Optional :class:`repro.network.conditions.LinkModel` — the
-        network-conditions axis (per-edge loss, latency distributions,
-        bandwidth caps, regions, partitions). Mutually exclusive with
-        the legacy loss knobs. Loss-only models run on every backend
-        via :meth:`materialize` (byte-identical to the equivalent
-        ``loss_probability``); latency-bearing models need the
+        Optional :class:`repro.network.conditions.LinkModel` — the only
+        way to express packet loss, and the network-conditions axis
+        (per-edge loss, latency distributions, bandwidth caps, regions,
+        partitions). ``InstantLink(p)`` is the paper's uniform per-push
+        loss (Section 5.3). Loss-only models run on every backend via
+        :meth:`materialize`, as a mass-conserving
+        :class:`repro.network.conditions.PacketLossModel` drawing from
+        :meth:`link_stream`; latency-bearing models need the
         event-driven ``"async"`` backend — synchronous backends raise
         :class:`BackendCapabilityError`, and :func:`choose_backend_name`
         steers such configs to ``"async"`` automatically.
     rng:
-        Seed / generator for target selection (and the derived loss
-        model, when ``loss_probability`` is used).
+        Seed / generator for target selection (and, through
+        :meth:`link_stream`, for the link model's loss draws).
     max_steps:
         Safety budget before
         :class:`repro.core.errors.ConvergenceError` (interpreted as a
@@ -158,9 +154,10 @@ class GossipConfig:
 
     Examples
     --------
-    >>> config = GossipConfig(xi=1e-6, k=1, rng=7)
-    >>> config.xi, config.k
-    (1e-06, 1)
+    >>> from repro.network.conditions import InstantLink
+    >>> config = GossipConfig(xi=1e-6, k=1, rng=7, network=InstantLink(0.1))
+    >>> config.xi, config.k, config.uniform_loss_probability()
+    (1e-06, 1, 0.1)
     >>> GossipConfig(xi=-1.0)
     Traceback (most recent call last):
         ...
@@ -172,8 +169,6 @@ class GossipConfig:
     push_counts: Optional[np.ndarray] = None
     params: WeightParams = field(default_factory=WeightParams)
     delta: float = 0.05
-    loss_probability: float = 0.0
-    loss_model: Optional[PacketLossModel] = None
     network: Optional[LinkModel] = None
     rng: RngLike = None
     max_steps: int = 10_000
@@ -193,19 +188,11 @@ class GossipConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.k is not None and self.push_counts is not None:
             raise ValueError("pass either k (uniform) or push_counts (per-node), not both")
-        if not 0.0 <= self.loss_probability <= 1.0:
-            raise ValueError(f"loss_probability must be in [0, 1], got {self.loss_probability}")
-        if self.network is not None:
-            if not isinstance(self.network, LinkModel):
-                raise ValueError(
-                    f"network must be a repro.network.conditions.LinkModel, "
-                    f"got {type(self.network).__name__}"
-                )
-            if self.loss_probability != 0.0 or self.loss_model is not None:
-                raise ValueError(
-                    "pass either network= (a LinkModel) or the legacy loss knobs "
-                    "(loss_probability / loss_model), not both"
-                )
+        if self.network is not None and not isinstance(self.network, LinkModel):
+            raise ValueError(
+                f"network must be a repro.network.conditions.LinkModel, "
+                f"got {type(self.network).__name__}"
+            )
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.patience < 1:
@@ -263,7 +250,7 @@ class GossipConfig:
         partitions, or per-edge loss).
         """
         if self.network is None:
-            return self.loss_probability
+            return 0.0
         if self.network.has_latency:
             raise BackendCapabilityError(
                 "step-synchronous backends cannot run latency-bearing network "
@@ -282,19 +269,17 @@ class GossipConfig:
     def materialize(self) -> Tuple[np.random.Generator, Optional[PacketLossModel]]:
         """Resolve ``(generator, loss_model)`` for one engine run.
 
-        The loss model derived from ``loss_probability`` — or from a
-        loss-only ``network`` model, which resolves to the *same*
-        :class:`PacketLossModel` over the same stream (byte-identity
-        contract) — draws from the dedicated :meth:`link_stream`, so the
-        engine's target-selection stream is identical to a loss-free run
-        of the same seed. Latency-bearing network models raise
+        The loss model derived from a loss-only ``network`` model draws
+        from the dedicated :meth:`link_stream`, so the engine's
+        target-selection stream is identical to a loss-free run of the
+        same seed. Latency-bearing network models raise
         :class:`BackendCapabilityError` here: a synchronous round
         schedule has no time axis to express them.
         """
-        loss = self.loss_model
         probability = self.uniform_loss_probability()
-        if loss is None and probability > 0.0:
-            loss = PacketLossModel(probability, rng=self.link_stream())
+        loss = (
+            PacketLossModel(probability, rng=self.link_stream()) if probability > 0.0 else None
+        )
         return self.main_stream(), loss
 
 
@@ -436,8 +421,8 @@ class AsyncBackend:
     This is the one backend that runs the full network-conditions axis:
     ``config.network`` link models with latency, bandwidth caps,
     regions and partition windows execute natively (a push becomes a
-    *send* event that lands after its sampled delay), and the classic
-    ``config.loss_probability`` runs as the equivalent zero-latency
+    *send* event that lands after its sampled delay); the paper's
+    uniform loss is the zero-latency
     :class:`~repro.network.conditions.InstantLink`. The link's
     randomness draws from the same ``LOSS_STREAM_KEY`` child stream the
     synchronous loss path uses, so attaching a link model never
@@ -465,11 +450,6 @@ class AsyncBackend:
                 "backend 'async' gossips a single reputation channel; "
                 "use 'dense' or 'sparse' for num_channels > 1"
             )
-        if config.loss_model is not None:
-            raise BackendCapabilityError(
-                "backend 'async' models the network through link models; pass "
-                "loss_probability or network= instead of an explicit loss_model"
-            )
         if config.track_history or config.run_to_max:
             raise BackendCapabilityError(
                 "backend 'async' does not support track_history/run_to_max"
@@ -483,8 +463,6 @@ class AsyncBackend:
                 "patience/warmup_steps do not apply"
             )
         link = config.network
-        if link is None and config.loss_probability > 0.0:
-            link = InstantLink(config.loss_probability)
         # Derive the link stream before touching the main stream: for
         # Generator rng the child split advances the parent (same order
         # materialize uses on the synchronous path).
@@ -523,78 +501,17 @@ class AsyncBackend:
 
 # -- registry ---------------------------------------------------------------
 
-_REGISTRY: Dict[str, GossipBackend] = {}
-_ALIASES: Dict[str, str] = {}
-
-
-def register_backend(
-    name: str,
-    backend: GossipBackend,
-    *,
-    aliases: Tuple[str, ...] = (),
-    overwrite: bool = False,
-) -> None:
-    """Register ``backend`` under ``name`` (plus optional aliases).
-
-    Third-party engines plug in here; after registration the backend is
-    selectable everywhere a backend name is accepted — the
-    :func:`repro.aggregate` facade, the variant entry points, scenarios
-    and benchmarks.
-
-    Examples
-    --------
-    >>> register_backend("demo", get_backend("dense"), overwrite=True)
-    >>> get_backend("demo") is get_backend("dense")
-    True
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"backend name must be a non-empty string, got {name!r}")
-    if not overwrite:
-        # Validate every name before mutating anything, so a conflict
-        # never leaves a half-registered backend behind.
-        if name in _REGISTRY or name in _ALIASES:
-            raise ValueError(f"backend {name!r} is already registered (pass overwrite=True)")
-        for alias in aliases:
-            if alias in _REGISTRY or alias in _ALIASES:
-                raise ValueError(f"backend alias {alias!r} is already registered")
-    _REGISTRY[name] = backend
-    for alias in aliases:
-        _ALIASES[alias] = name
-
-
-def resolve_backend_name(name: str) -> str:
-    """Canonical registry name for ``name`` (resolving aliases)."""
-    if name in _REGISTRY:
-        return name
-    if name in _ALIASES:
-        return _ALIASES[name]
-    catalogue = ", ".join(sorted(_REGISTRY) + sorted(_ALIASES))
-    raise UnknownBackendError(
-        f"unknown gossip backend/engine {name!r}; available: {catalogue}, auto"
-    )
-
-
-def get_backend(name: str) -> GossipBackend:
-    """Look up a registered backend by name or alias.
-
-    Examples
-    --------
-    >>> get_backend("vector") is get_backend("dense")  # aliases resolve
-    True
-    """
-    return _REGISTRY[resolve_backend_name(name)]
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Canonical names of all registered backends, sorted.
-
-    Examples
-    --------
-    >>> {"message", "dense", "sparse", "async"} <= set(available_backends())
-    True
-    """
-    return tuple(sorted(_REGISTRY))
-
+#: Third-party engines plug in through :func:`register_backend`; after
+#: registration the backend is selectable everywhere a backend name is
+#: accepted — the :func:`repro.aggregate` facade, the variant entry
+#: points, scenarios and benchmarks.
+backend_registry: Registry[GossipBackend] = Registry(
+    "backend", UnknownBackendError, label="gossip backend/engine", extra_names=("auto",)
+)
+register_backend = backend_registry.register
+resolve_backend_name = backend_registry.resolve
+get_backend = backend_registry.get
+available_backends = backend_registry.names
 
 register_backend("message", MessageBackend())
 register_backend("dense", DenseBackend(), aliases=("vector",))

@@ -28,15 +28,11 @@ import numpy as np
 from repro.core.backend import GossipConfig, run_backend
 from repro.core.results import GossipOutcome
 from repro.core.weights import WeightParams, excess_weights
-from repro.network.conditions import PacketLossModel
 from repro.network.graph import Graph
 from repro.trust.matrix import TrustMatrix
 from repro.utils.rng import RngLike
 
 DenominatorConvention = Literal["observers", "all"]
-#: Any registered backend name ("dense", "message", "sparse", ...);
-#: "vector" remains as a registry alias of "dense".
-EngineName = str
 
 
 @dataclass
@@ -168,11 +164,9 @@ def aggregate_single_gclr(
     params: WeightParams = WeightParams(),
     xi: float = 1e-4,
     denominator_convention: DenominatorConvention = "observers",
-    engine: EngineName = "vector",
-    backend: Optional[str] = None,
+    backend: str = "auto",
     designated_node: Optional[int] = None,
     push_counts: Optional[np.ndarray] = None,
-    loss_model: Optional[PacketLossModel] = None,
     rng: RngLike = None,
     max_steps: int = 10_000,
     track_history: bool = False,
@@ -229,13 +223,12 @@ def aggregate_single_gclr(
         config=GossipConfig(
             xi=xi,
             push_counts=push_counts,
-            loss_model=loss_model,
             rng=rng,
             max_steps=max_steps,
             track_history=track_history,
             patience=patience,
         ),
-        backend=backend if backend is not None else engine,
+        backend=backend,
     )
 
     global_sum_estimates = outcome.estimates.reshape(-1)

@@ -23,15 +23,11 @@ import numpy as np
 
 from repro.core.backend import GossipConfig, run_backend
 from repro.core.results import GossipOutcome
-from repro.network.conditions import PacketLossModel
 from repro.network.graph import Graph
 from repro.trust.matrix import TrustMatrix
 from repro.utils.rng import RngLike
 
 Convention = Literal["observers", "all"]
-#: Any registered backend name ("dense", "message", "sparse", ...);
-#: "vector" remains as a registry alias of "dense".
-EngineName = str
 
 
 @dataclass
@@ -100,10 +96,8 @@ def aggregate_single_global(
     *,
     xi: float = 1e-4,
     convention: Convention = "observers",
-    engine: EngineName = "vector",
-    backend: Optional[str] = None,
+    backend: str = "auto",
     push_counts: Optional[np.ndarray] = None,
-    loss_model: Optional[PacketLossModel] = None,
     rng: RngLike = None,
     max_steps: int = 10_000,
     track_history: bool = False,
@@ -124,17 +118,12 @@ def aggregate_single_global(
     convention:
         ``"observers"`` (Algorithm 1 pseudocode: average over opining
         nodes) or ``"all"`` (eq. 1: average over all ``N`` nodes).
-    engine:
-        Backend name from :func:`repro.core.backend.available_backends`
-        (``"vector"`` is an alias of ``"dense"``). Kept for backwards
-        compatibility — prefer ``backend``.
     backend:
-        Backend name (overrides ``engine``); ``"auto"`` picks by graph
-        size. See :func:`repro.aggregate` for the facade form.
+        Backend name from :func:`repro.core.backend.available_backends`;
+        ``"auto"`` picks by graph size. See :func:`repro.aggregate` for
+        the facade form.
     push_counts:
         Override the differential push counts (baselines/ablations).
-    loss_model:
-        Optional churn model (Figure 4 experiments).
     rng:
         Seed / generator.
     max_steps:
@@ -167,13 +156,12 @@ def aggregate_single_global(
         config=GossipConfig(
             xi=xi,
             push_counts=push_counts,
-            loss_model=loss_model,
             rng=rng,
             max_steps=max_steps,
             track_history=track_history,
             patience=patience,
         ),
-        backend=backend if backend is not None else engine,
+        backend=backend,
     )
 
     return SingleGlobalResult(

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 from repro.core.backend import GossipConfig
 from repro.experiments.runner import ExperimentResult, Stopwatch, full_scale_enabled
 from repro.facade import aggregate
-from repro.network.conditions import PacketLossModel
+from repro.network.conditions import InstantLink
 from repro.network.preferential_attachment import preferential_attachment_graph
 from repro.utils.rng import as_generator
 
@@ -48,17 +48,12 @@ def run(
         for loss in loss_probabilities:
             row: list = [f"p={loss:g}"]
             for xi in xis:
-                loss_model = PacketLossModel(loss, rng=as_generator(int(root.integers(2**62))))
-                outcome = aggregate(
-                    graph,
-                    values,
-                    GossipConfig(
-                        xi=xi,
-                        loss_model=loss_model,
-                        rng=as_generator(int(root.integers(2**62))),
-                    ),
-                    backend=backend,
+                # A seed-like rng: the loss draws come from its stateless
+                # link stream, independent of target selection.
+                config = GossipConfig(
+                    xi=xi, network=InstantLink(loss), rng=int(root.integers(2**62))
                 )
+                outcome = aggregate(graph, values, config, backend=backend)
                 row.append(outcome.steps)
             rows.append(row)
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable
 
 from repro.experiments import (
     attack_sweeps,
@@ -18,33 +18,26 @@ from repro.experiments import (
     xi_accuracy,
 )
 from repro.experiments.runner import ExperimentResult
+from repro.utils.registry import Registry
 
 ExperimentRunner = Callable[..., ExperimentResult]
 
-#: Experiment id -> runner. Ids match DESIGN.md's experiment index,
-#: plus the attack-robustness sweeps (attack_*) beyond the paper.
-EXPERIMENTS: Dict[str, ExperimentRunner] = {
-    "table1": table1.run,
-    "table2": table2.run,
-    "fig3": fig3.run,
-    "fig4": fig4.run,
-    "fig5": fig5.run,
-    "fig6": fig6.run,
-    "theorem52": theorem52.run,
-    "eq17": eq17.run,
-    "xi_accuracy": xi_accuracy.run,
-    "attack_slander": attack_sweeps.run_slander,
-    "attack_sybil": attack_sweeps.run_sybil,
-    "tournament": tournament.run,
-}
+experiment_registry: Registry[ExperimentRunner] = Registry("experiment")
+get_experiment = experiment_registry.get
+#: Experiment id -> runner (the registry's own table). Ids match
+#: DESIGN.md's experiment index, plus the attack-robustness sweeps
+#: (attack_*) beyond the paper.
+EXPERIMENTS = experiment_registry.entries
 
-
-def get_experiment(experiment_id: str) -> ExperimentRunner:
-    """Look up an experiment runner; raise ``KeyError`` with the catalogue."""
-    try:
-        return EXPERIMENTS[experiment_id]
-    except KeyError:
-        available = ", ".join(sorted(EXPERIMENTS))
-        raise KeyError(
-            f"unknown experiment {experiment_id!r}; available: {available}"
-        ) from None
+experiment_registry.register("table1", table1.run)
+experiment_registry.register("table2", table2.run)
+experiment_registry.register("fig3", fig3.run)
+experiment_registry.register("fig4", fig4.run)
+experiment_registry.register("fig5", fig5.run)
+experiment_registry.register("fig6", fig6.run)
+experiment_registry.register("theorem52", theorem52.run)
+experiment_registry.register("eq17", eq17.run)
+experiment_registry.register("xi_accuracy", xi_accuracy.run)
+experiment_registry.register("attack_slander", attack_sweeps.run_slander)
+experiment_registry.register("attack_sybil", attack_sweeps.run_sybil)
+experiment_registry.register("tournament", tournament.run)

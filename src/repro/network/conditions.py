@@ -11,13 +11,13 @@ of that *network realism*, factored out of the engines:
   (constant / uniform / exponential / lognormal);
 - :class:`LinkModel` — the protocol every network condition implements.
   It has two faces: :meth:`LinkModel.uniform_loss_probability` lets the
-  *synchronous* engines keep their vectorised loss path (byte-identical
-  to the historical ``loss_probability`` knob), and
+  *synchronous* engines keep their vectorised loss path (a
+  :class:`PacketLossModel`), and
   :meth:`LinkModel.bind` produces a per-run :class:`BoundLink` whose
   :meth:`BoundLink.transfer` the *event-driven* engine consults per
   push (drop? how much delay?);
-- :class:`InstantLink` — the compatibility shim: zero latency,
-  optional uniform loss. ``InstantLink(0.0)`` is provably a no-op (it
+- :class:`InstantLink` — the paper's churn model: zero latency,
+  uniform per-push loss. ``InstantLink(0.0)`` is provably a no-op (it
   consumes no randomness), so the refactored async engine is
   byte-identical to the pre-refactor one under it;
 - :class:`HomogeneousLink` — one loss probability, one latency
@@ -319,8 +319,7 @@ class LinkModel(abc.ABC):
     Synchronous engines have no time axis, so they can only express
     *uniform, instant* loss: when :attr:`has_latency` is False and
     :attr:`uniform_loss_probability` is not None, the backend layer
-    materialises the model as the classic :class:`PacketLossModel`
-    (byte-identical to the historical ``loss_probability`` path).
+    materialises the model as the classic :class:`PacketLossModel`.
     Everything else — latency, bandwidth, per-region loss, partitions —
     requires the event-driven engine, which calls :meth:`bind` and
     consults the returned :class:`BoundLink` per push.
@@ -368,13 +367,12 @@ class _InstantBound(BoundLink):
 
 
 class InstantLink(LinkModel):
-    """The compatibility shim: zero latency, optional uniform loss.
+    """The paper's churn model (§5.3): zero latency, uniform per-push loss.
 
-    ``InstantLink(0.0)`` consumes no randomness and delivers everything
-    inline — the refactored async engine under it is byte-identical to
-    the pre-refactor engine, and the sync backends under
-    ``InstantLink(p)`` are byte-identical to ``loss_probability=p``
-    (both contracts are pinned by tests).
+    ``GossipConfig(network=InstantLink(p))`` is how a run expresses
+    packet loss. ``InstantLink(0.0)`` consumes no randomness and
+    delivers everything inline, so the async engine under it is
+    byte-identical to one with no link at all (pinned by tests).
 
     Examples
     --------

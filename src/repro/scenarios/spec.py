@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -28,7 +28,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.core.backend import GossipConfig, choose_backend_name, resolve_backend_name
 from repro.facade import aggregate
+from repro.network.conditions import InstantLink
 from repro.network.graph import Graph
+from repro.utils.registry import Registry
 from repro.utils.rng import as_generator
 
 TOPOLOGY_KINDS = (
@@ -167,8 +169,8 @@ class NetworkSpec:
 
     - ``"uniform"``: every edge shares ``loss`` and one latency
       distribution (``latency_kind``/``latency_mean``/
-      ``latency_spread``). With zero latency this is exactly the
-      legacy loss path (:class:`~repro.network.conditions.InstantLink`).
+      ``latency_spread``). With zero latency this is the paper's
+      uniform loss (:class:`~repro.network.conditions.InstantLink`).
     - ``"regional"``: peers split into ``num_regions`` contiguous
       blocks — LAN conditions inside a region (``loss``,
       ``latency_mean``), WAN conditions across (``inter_loss``,
@@ -647,29 +649,12 @@ class ScenarioResult:
 
 # -- registry ---------------------------------------------------------------
 
-_SCENARIOS: Dict[str, Scenario] = {}
-
-
-def register_scenario(scenario: Scenario, *, overwrite: bool = False) -> Scenario:
-    """Add ``scenario`` to the catalogue (returned for chaining)."""
-    if not overwrite and scenario.name in _SCENARIOS:
-        raise ValueError(f"scenario {scenario.name!r} is already registered")
-    _SCENARIOS[scenario.name] = scenario
-    return scenario
-
-
-def get_scenario(name: str) -> Scenario:
-    """Look up a registered scenario; KeyError lists the catalogue."""
-    try:
-        return _SCENARIOS[name]
-    except KeyError:
-        available = ", ".join(sorted(_SCENARIOS))
-        raise KeyError(f"unknown scenario {name!r}; available: {available}") from None
-
-
-def available_scenarios() -> Tuple[str, ...]:
-    """Names of all registered scenarios, sorted."""
-    return tuple(sorted(_SCENARIOS))
+scenario_registry: Registry[Scenario] = Registry("scenario")
+#: ``register_scenario(scenario)`` adds a scenario under its own name
+#: and returns it, so the library can bind each one to a constant.
+register_scenario = scenario_registry.add
+get_scenario = scenario_registry.get
+available_scenarios = scenario_registry.names
 
 
 # -- execution --------------------------------------------------------------
@@ -705,18 +690,17 @@ def run_scenario(
     )
     backend_name = backend if backend is not None else scenario.backend
     # Dynamic/service runs replay the network axis through the overlay
-    # (epoch partitions), not through a per-push link model.
-    network = (
-        scenario.network.build_link()
-        if scenario.network is not None
-        and scenario.dynamic is None
-        and scenario.service is None
-        else None
-    )
+    # (epoch partitions), not through a per-push link model. The churn
+    # axis is the paper's uniform per-push loss.
+    if scenario.network is not None and scenario.dynamic is None and scenario.service is None:
+        network = scenario.network.build_link()
+    elif scenario.churn.loss_probability > 0.0:
+        network = InstantLink(scenario.churn.loss_probability)
+    else:
+        network = None
     config = GossipConfig(
         xi=scenario.xi,
         max_steps=scenario.max_steps,
-        loss_probability=scenario.churn.loss_probability,
         network=network,
         rng=int(root.integers(2**62)),
     )
@@ -1006,6 +990,14 @@ def _run_algorithm(scenario, graph, config, backend_name, root, *, small):
     )
 
 
+def _loss_metric(config: GossipConfig) -> Dict[str, float]:
+    """The run's uniform per-push loss; empty when the loss is per-edge."""
+    if config.network is None:
+        return {"loss_probability": 0.0}
+    uniform = config.network.uniform_loss_probability
+    return {} if uniform is None else {"loss_probability": uniform}
+
+
 def _run_mean(scenario, graph, config, backend, root):
     """Uniform-gossip mean estimation (optionally under churn)."""
     n = graph.num_nodes
@@ -1017,7 +1009,7 @@ def _run_mean(scenario, graph, config, backend, root):
         "true_mean": truth,
         "max_abs_error": float(errors.max()),
         "mean_abs_error": float(errors.mean()),
-        "loss_probability": scenario.churn.loss_probability,
+        **_loss_metric(config),
     }
     notes = ["mass-conserving self-push repair keeps the estimate exact under churn"]
     if scenario.network is not None:
@@ -1097,7 +1089,7 @@ def _run_trust_gclr(scenario, graph, config, backend, root):
         "rms_gclr": impact.rms_gclr,
         "rms_unweighted": impact.rms_unweighted,
         "num_nodes_dirty": float(impact.num_nodes_dirty),
-        "loss_probability": scenario.churn.loss_probability,
+        **_loss_metric(config),
     }
     if isinstance(model, CollusionModel):
         metrics["num_colluders"] = float(model.attack_for(n).num_colluders)

@@ -111,7 +111,7 @@ class TestRegistry:
             assert impact.rms_unweighted == 0.0
         finally:
             # Don't leak the fixture family into the global registry.
-            models_mod._ATTACKS.pop("noop-test", None)
+            models_mod.attack_registry.entries.pop("noop-test", None)
 
     def test_as_attack_model_rejects_garbage(self):
         with pytest.raises(TypeError, match="AttackModel"):

@@ -27,6 +27,7 @@ from repro.core.single_global import aggregate_single_global
 from repro.core.vector_gclr import aggregate_vector_gclr
 from repro.core.vector_global import aggregate_vector_global
 from repro.facade import aggregate
+from repro.network.conditions import InstantLink
 from repro.network.graph import Graph
 from repro.network.topology_example import example_network
 
@@ -96,7 +97,7 @@ class TestGossipConfig:
         with pytest.raises(ValueError, match="k"):
             GossipConfig(k=0)
         with pytest.raises(ValueError, match="loss_probability"):
-            GossipConfig(loss_probability=1.5)
+            GossipConfig(network=InstantLink(1.5))
         with pytest.raises(ValueError, match="patience"):
             GossipConfig(patience=0)
 
@@ -110,16 +111,16 @@ class TestGossipConfig:
         # so a churn run and a loss-free run of the same seed draw
         # identical gossip targets — loss effects are isolatable.
         rng_plain, _ = GossipConfig(rng=7).materialize()
-        rng_churn, loss = GossipConfig(rng=7, loss_probability=0.5).materialize()
+        rng_churn, loss = GossipConfig(rng=7, network=InstantLink(0.5)).materialize()
         assert loss is not None
         np.testing.assert_array_equal(rng_plain.random(16), rng_churn.random(16))
 
     def test_loss_probability_materializes_seeded_model(self):
-        config = GossipConfig(loss_probability=0.4, rng=11)
+        config = GossipConfig(network=InstantLink(0.4), rng=11)
         _, loss = config.materialize()
         assert loss is not None and loss.loss_probability == 0.4
         # Same seed -> same loss draws (the model is re-derivable).
-        _, loss2 = GossipConfig(loss_probability=0.4, rng=11).materialize()
+        _, loss2 = GossipConfig(network=InstantLink(0.4), rng=11).materialize()
         senders = np.arange(50)
         targets = (senders + 1) % 50
         np.testing.assert_array_equal(
@@ -223,7 +224,6 @@ class TestAutoSelection:
         # old 250k-node sparse ceiling still resolves to it, whatever
         # the core count and however loss is expressed.
         import repro.utils.hardware as hardware
-        from repro.network.conditions import PacketLossModel
 
         monkeypatch.setattr(hardware, "usable_cpu_count", lambda: 8)
         n = 250_001
@@ -234,7 +234,7 @@ class TestAutoSelection:
         cols[1::2] = np.maximum(a, b)
         ring = Graph.from_csr(n, 2 * np.arange(n + 1, dtype=np.int64), cols, validate=False)
         assert choose_backend_name(ring) == "sparse"
-        lossy = GossipConfig(loss_model=PacketLossModel(0.2, rng=0))
+        lossy = GossipConfig(network=InstantLink(0.2))
         assert choose_backend_name(ring, lossy) == "sparse"
 
 
@@ -249,23 +249,12 @@ class TestCapabilityErrors:
                 backend="message",
             )
 
-    def test_async_rejects_extras_loss_model_and_matrix_state(self, fixture_values):
-        from repro.network.conditions import PacketLossModel
-
+    def test_async_rejects_extras_and_matrix_state(self, fixture_values):
         g = example_network()
         with pytest.raises(BackendCapabilityError, match="extra"):
             run_backend(
                 g, fixture_values, np.ones(10),
                 extras={"count": np.ones(10)}, backend="async",
-            )
-        # Uniform loss_probability now runs natively (as an InstantLink);
-        # only an explicit pre-built loss_model is rejected, because its
-        # generator is not the derived link stream.
-        with pytest.raises(BackendCapabilityError, match="link model"):
-            run_backend(
-                g, fixture_values, np.ones(10),
-                config=GossipConfig(loss_model=PacketLossModel(0.2, rng=0)),
-                backend="async",
             )
         with pytest.raises(BackendCapabilityError, match="scalar"):
             run_backend(g, np.ones((10, 3)), np.ones((10, 3)), backend="async")
@@ -329,7 +318,9 @@ class TestFacade:
         np.testing.assert_array_equal(old.outcome.extras["count"], new.extras["count"])
 
     def test_single_variants_match_entry_points(self, pa_graph_small, small_trust):
-        old = aggregate_single_global(pa_graph_small, small_trust, 5, xi=1e-6, rng=29)
+        old = aggregate_single_global(
+            pa_graph_small, small_trust, 5, xi=1e-6, rng=29, backend="dense"
+        )
         new = aggregate(
             pa_graph_small,
             small_trust,
@@ -339,7 +330,9 @@ class TestFacade:
             target=5,
         )
         np.testing.assert_array_equal(old.outcome.values, new.values)
-        old_gclr = aggregate_single_gclr(pa_graph_small, small_trust, 5, xi=1e-6, rng=31)
+        old_gclr = aggregate_single_gclr(
+            pa_graph_small, small_trust, 5, xi=1e-6, rng=31, backend="dense"
+        )
         new_gclr = aggregate(
             pa_graph_small,
             small_trust,
@@ -398,7 +391,7 @@ class TestVariantEntryPointsOnOtherBackends:
 
     def test_single_global_engine_alias_still_works(self, pa_graph_small, small_trust):
         result = aggregate_single_global(
-            pa_graph_small, small_trust, 2, xi=1e-6, rng=7, engine="vector"
+            pa_graph_small, small_trust, 2, xi=1e-6, rng=7, backend="vector"
         )
         assert result.max_relative_error < 0.01
 
@@ -433,20 +426,14 @@ class TestConfigAwareLayers:
     def test_collusion_impact_churn_noise_cancels(self, pa_graph_small, small_trust):
         from repro.attacks.collusion import group_colluders, select_colluders
         from repro.attacks.evaluate import collusion_impact
-        from repro.network.conditions import PacketLossModel
 
         attack = group_colluders(select_colluders(60, 0.2, rng=2), 3)
         impact = collusion_impact(
             pa_graph_small, small_trust, attack,
             targets=[0, 5, 9],
-            config=GossipConfig(xi=1e-5, rng=4, loss_probability=0.2),
+            config=GossipConfig(xi=1e-5, rng=4, network=InstantLink(0.2)),
         )
         assert np.isfinite(impact.rms_gclr)
-        with pytest.raises(ValueError, match="loss_probability"):
-            collusion_impact(
-                pa_graph_small, small_trust, attack,
-                config=GossipConfig(xi=1e-5, rng=4, loss_model=PacketLossModel(0.2, rng=0)),
-            )
 
     def test_round_manager_reads_config_defaults(self, pa_graph_small, small_trust):
         from repro.core.rounds import GossipRoundManager
@@ -511,14 +498,6 @@ class TestNetworkAxis:
         with pytest.raises(ValueError, match="LinkModel"):
             GossipConfig(network=0.3)
 
-    def test_network_excludes_legacy_loss_knobs(self, fixture_values):
-        from repro.network.conditions import InstantLink, PacketLossModel
-
-        with pytest.raises(ValueError, match="not both"):
-            GossipConfig(network=InstantLink(0.1), loss_probability=0.2)
-        with pytest.raises(ValueError, match="not both"):
-            GossipConfig(network=InstantLink(0.1), loss_model=PacketLossModel(0.2, rng=0))
-
     @pytest.mark.parametrize("backend", ["message", "dense", "sparse"])
     def test_sync_backends_reject_latency_models(self, fixture_values, backend):
         from repro.network.conditions import HomogeneousLink, LatencySpec
@@ -543,26 +522,6 @@ class TestNetworkAxis:
                 example_network(), fixture_values, np.ones(10),
                 config=config, backend="dense",
             )
-
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_loss_only_network_byte_identical_to_loss_probability(
-        self, fixture_values, backend
-    ):
-        from repro.network.conditions import InstantLink
-
-        legacy = run_backend(
-            example_network(), fixture_values, np.ones(10),
-            config=GossipConfig(xi=1e-8, rng=11, loss_probability=0.3),
-            backend=backend,
-        )
-        linked = run_backend(
-            example_network(), fixture_values, np.ones(10),
-            config=GossipConfig(xi=1e-8, rng=11, network=InstantLink(0.3)),
-            backend=backend,
-        )
-        assert linked.steps == legacy.steps
-        assert np.array_equal(linked.values, legacy.values)
-        assert np.array_equal(linked.weights, legacy.weights)
 
     def test_uniform_regional_loss_resolves_on_sync_backends(self, fixture_values):
         from repro.network.conditions import RegionalLinkModel
@@ -601,19 +560,3 @@ class TestNetworkAxis:
         )
         assert float(out.values.sum()) == pytest.approx(45.0, rel=1e-9)
         assert np.allclose(out.estimates, TRUE_MEAN, atol=5e-2)
-
-    def test_async_loss_probability_matches_instant_link(self, fixture_values):
-        from repro.network.conditions import InstantLink
-
-        legacy = run_backend(
-            example_network(), fixture_values, np.ones(10),
-            config=GossipConfig(xi=1e-5, rng=6, loss_probability=0.2),
-            backend="async",
-        )
-        linked = run_backend(
-            example_network(), fixture_values, np.ones(10),
-            config=GossipConfig(xi=1e-5, rng=6, network=InstantLink(0.2)),
-            backend="async",
-        )
-        assert np.array_equal(linked.values, legacy.values)
-        assert np.array_equal(linked.weights, legacy.weights)

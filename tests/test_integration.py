@@ -59,7 +59,7 @@ class TestGossipReachesFixpoints:
     def test_single_gclr_both_engines(self, pa_graph_small, small_trust):
         for engine_name in ("vector", "message"):
             result = aggregate_single_gclr(
-                pa_graph_small, small_trust, target=9, xi=1e-8, rng=7, engine=engine_name
+                pa_graph_small, small_trust, target=9, xi=1e-8, rng=7, backend=engine_name
             )
             assert result.max_absolute_error < 0.01, engine_name
 
@@ -141,5 +141,7 @@ class TestSparseVsDenseTrust:
         sparse = random_trust_matrix(pa_graph_small, rng=40)
         dense = complete_trust_matrix(60, rng=41)
         for trust in (sparse, dense):
-            result = aggregate_single_gclr(pa_graph_small, trust, target=5, xi=1e-7, rng=42)
+            result = aggregate_single_gclr(
+                pa_graph_small, trust, target=5, xi=1e-7, rng=42, backend="dense"
+            )
             assert result.max_absolute_error < 0.02

@@ -23,6 +23,7 @@ from repro import GossipConfig, aggregate
 from repro.core.convergence import ConvergenceProtocol
 from repro.core.differential import resolve_push_counts
 from repro.core.kernels.plan import SORT_CELLS_PER_PICK, PushPlan, select_k_smallest
+from repro.network.conditions import InstantLink
 from repro.network.graph import Graph
 from repro.network.preferential_attachment import preferential_attachment_graph
 
@@ -49,7 +50,7 @@ PINS = {
         "60de656f1875e9dbf3203c1e63e8fbe81d39c25ae8ee0472e4d582e92d540510",
     ),
     "lossy": (
-        dict(xi=1e-6, rng=5, loss_probability=0.1),
+        dict(xi=1e-6, rng=5, network=InstantLink(0.1)),
         113, 238683, 47960,
         "38acd6a60b26828396c61b0361c7c24029c7c07997a9e47bb2fcc05fb8fab2ac",
     ),
@@ -113,6 +114,32 @@ class TestRunPins:
             102, 219303, 47960,
             "19fb3a873a79259c88452d443da260852b01e07ea6c09bf1ad3b903c471cf138",
         )
+
+
+# The paper's uniform per-push loss on the two backends that do not
+# route it through a PacketLossModel draw inside a vectorised kernel:
+# the message engine applies it per mailbox push, the async engine per
+# send event. Small world: both engines are per-push Python loops.
+LOSSY_PINS = {
+    "async": (
+        103, 23247, 0,
+        "7c94b52e871813e536e615da295e6912a428663d21e855088a247e1fd1e48435",
+    ),
+    "message": (
+        117, 21942, 2376,
+        "97b3f89bc86181101feedc51c96e0c471fe1f72a3932c4176262f863eefeafe7",
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(LOSSY_PINS))
+def test_lossy_backend_matches_pin(backend):
+    graph = preferential_attachment_graph(200, m=3, rng=np.random.default_rng(2024))
+    values = np.random.default_rng(7).random(200)
+    outcome = aggregate(
+        graph, values, GossipConfig(xi=1e-6, rng=5, network=InstantLink(0.2)), backend=backend
+    )
+    assert _fingerprint(outcome) == LOSSY_PINS[backend]
 
 
 # -- select_k_smallest -------------------------------------------------------

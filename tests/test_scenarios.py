@@ -118,6 +118,27 @@ class TestRunScenario:
         # Mass-conserving self-push: churn slows mixing, never breaks it.
         assert result.metrics["max_abs_error"] < 0.01
 
+    def test_flaky_region_reports_no_single_loss_probability(self):
+        result = run_scenario("flaky-region", small=True)
+        assert result.backend == "async"  # the regional links carry latency
+        # Pushes drop with 2-40% depending on the edge: no uniform value.
+        assert "loss_probability" not in result.metrics
+        assert result.metrics["max_abs_error"] < 0.01
+
+    def test_uniform_network_loss_is_reported(self):
+        from repro.scenarios import NetworkSpec
+
+        scenario = Scenario(
+            name="test-uniform-network-loss",
+            description="uniform instant loss set on the network axis",
+            topology=TopologySpec(kind="powerlaw", num_nodes=120, small_num_nodes=120, m=2),
+            workload=WorkloadSpec(kind="mean"),
+            network=NetworkSpec(loss=0.25),
+            backend="dense",
+            seed=5,
+        )
+        assert run_scenario(scenario).metrics["loss_probability"] == 0.25
+
     def test_collusion_under_churn_small(self):
         result = run_scenario("collusion-under-churn", small=True)
         assert result.metrics["num_colluders"] > 0

@@ -73,19 +73,19 @@ class TestDesignatedNode:
 class TestAggregation:
     def test_gossip_matches_exact(self, pa_graph_small, small_trust):
         result = aggregate_single_gclr(
-            pa_graph_small, small_trust, target=5, xi=1e-7, rng=1
+            pa_graph_small, small_trust, target=5, xi=1e-7, rng=1, backend="dense"
         )
         assert result.max_absolute_error < 0.02
 
     def test_message_engine(self, pa_graph_small, small_trust):
         result = aggregate_single_gclr(
-            pa_graph_small, small_trust, target=5, xi=1e-7, rng=2, engine="message"
+            pa_graph_small, small_trust, target=5, xi=1e-7, rng=2, backend="message"
         )
         assert result.max_absolute_error < 0.02
 
     def test_sum_and_count_estimates(self, pa_graph_small, small_trust):
         result = aggregate_single_gclr(
-            pa_graph_small, small_trust, target=5, xi=1e-8, rng=3
+            pa_graph_small, small_trust, target=5, xi=1e-8, rng=3, backend="dense"
         )
         true_sum = small_trust.column_sum(5)
         true_count = len(small_trust.observers_of(5))
@@ -100,12 +100,19 @@ class TestAggregation:
             xi=1e-7,
             rng=4,
             denominator_convention="all",
+            backend="dense",
         )
         assert result.max_absolute_error < 0.01
 
     def test_custom_designated_node(self, pa_graph_small, small_trust):
         result = aggregate_single_gclr(
-            pa_graph_small, small_trust, target=5, xi=1e-7, rng=5, designated_node=10
+            pa_graph_small,
+            small_trust,
+            target=5,
+            xi=1e-7,
+            rng=5,
+            designated_node=10,
+            backend="dense",
         )
         assert result.max_absolute_error < 0.02
 
@@ -122,7 +129,7 @@ class TestAggregation:
 
     def test_rejects_bad_engine(self, pa_graph_small, small_trust):
         with pytest.raises(ValueError, match="engine"):
-            aggregate_single_gclr(pa_graph_small, small_trust, 5, engine="bogus")
+            aggregate_single_gclr(pa_graph_small, small_trust, 5, backend="bogus")
 
     def test_rejects_size_mismatch(self, pa_graph_small):
         with pytest.raises(ValueError, match="nodes"):

@@ -45,14 +45,14 @@ class TestTrueValue:
 class TestAggregation:
     def test_vector_engine_accuracy(self, pa_graph_small, small_trust):
         result = aggregate_single_global(
-            pa_graph_small, small_trust, target=5, xi=1e-6, rng=1
+            pa_graph_small, small_trust, target=5, xi=1e-6, rng=1, backend="dense"
         )
         assert result.max_relative_error < 0.02
         assert result.estimates.shape == (60,)
 
     def test_message_engine_accuracy(self, pa_graph_small, small_trust):
         result = aggregate_single_global(
-            pa_graph_small, small_trust, target=5, xi=1e-6, rng=2, engine="message"
+            pa_graph_small, small_trust, target=5, xi=1e-6, rng=2, backend="message"
         )
         assert result.max_relative_error < 0.02
 
@@ -61,27 +61,37 @@ class TestAggregation:
         # mass), so the local stop rule needs a tighter xi for the same
         # final accuracy — see EXPERIMENTS.md on the xi-to-error mapping.
         result = aggregate_single_global(
-            pa_graph_small, small_trust, target=5, xi=1e-9, rng=3, convention="all"
+            pa_graph_small,
+            small_trust,
+            target=5,
+            xi=1e-9,
+            rng=3,
+            convention="all",
+            backend="dense",
         )
         assert result.true_value == true_single_global(small_trust, 5, "all")
         assert result.max_relative_error < 0.02
 
     def test_engines_agree_on_limit(self, pa_graph_small, small_trust):
-        a = aggregate_single_global(pa_graph_small, small_trust, target=7, xi=1e-7, rng=4)
+        a = aggregate_single_global(
+            pa_graph_small, small_trust, target=7, xi=1e-7, rng=4, backend="dense"
+        )
         b = aggregate_single_global(
-            pa_graph_small, small_trust, target=7, xi=1e-7, rng=5, engine="message"
+            pa_graph_small, small_trust, target=7, xi=1e-7, rng=5, backend="message"
         )
         assert a.true_value == b.true_value
         assert np.allclose(a.estimates.mean(), b.estimates.mean(), atol=0.01)
 
     def test_unobserved_target(self, pa_graph_small):
         empty = TrustMatrix(60)
-        result = aggregate_single_global(pa_graph_small, empty, target=3, xi=1e-4, rng=6)
+        result = aggregate_single_global(
+            pa_graph_small, empty, target=3, xi=1e-4, rng=6, backend="dense"
+        )
         assert result.true_value == 0.0
 
     def test_invalid_engine(self, pa_graph_small, small_trust):
         with pytest.raises(ValueError, match="engine"):
-            aggregate_single_global(pa_graph_small, small_trust, 0, engine="gpu")
+            aggregate_single_global(pa_graph_small, small_trust, 0, backend="gpu")
 
     def test_invalid_target(self, pa_graph_small, small_trust):
         with pytest.raises(ValueError, match="target"):
@@ -93,6 +103,8 @@ class TestAggregation:
 
     def test_max_relative_error_with_zero_truth(self, pa_graph_small):
         empty = TrustMatrix(60)
-        result = aggregate_single_global(pa_graph_small, empty, target=3, xi=1e-4, rng=7)
+        result = aggregate_single_global(
+            pa_graph_small, empty, target=3, xi=1e-4, rng=7, backend="dense"
+        )
         # Estimates are the sentinel (no weight mass anywhere): error is reported absolutely.
         assert result.max_relative_error >= 0.0
